@@ -58,22 +58,37 @@ let bad_int ~pos = Scan_errors.fail ~offset:pos ~field:(-1) ~cause:"bad int"
 let bad_float ~pos = Scan_errors.fail ~offset:pos ~field:(-1) ~cause:"bad float"
 let bad_bool ~pos = Scan_errors.fail ~offset:pos ~field:(-1) ~cause:"bad bool"
 
+(* More than 18 digits may overflow the 63-bit int: accumulate negatively
+   (|min_int| > max_int) and reject any step that would pass min_int. *)
+let parse_int_long buf ~pos i0 stop neg =
+  let acc = ref 0 in
+  for i = i0 to stop - 1 do
+    let c = Char.code (Bytes.unsafe_get buf i) - Char.code '0' in
+    if c < 0 || c > 9 || !acc < (min_int + c) / 10 then bad_int ~pos;
+    acc := (!acc * 10) - c
+  done;
+  if neg then !acc else if !acc = min_int then bad_int ~pos else - !acc
+
 let parse_int buf pos len =
   if len = 0 then bad_int ~pos;
   let stop = pos + len in
   let neg = Bytes.unsafe_get buf pos = '-' in
   let i0 = if neg || Bytes.unsafe_get buf pos = '+' then pos + 1 else pos in
   if i0 >= stop then bad_int ~pos;
-  let acc = ref 0 in
-  for i = i0 to stop - 1 do
-    let c = Char.code (Bytes.unsafe_get buf i) - Char.code '0' in
-    if c < 0 || c > 9 then bad_int ~pos;
-    acc := (!acc * 10) + c
-  done;
-  if neg then - !acc else !acc
+  (* up to 18 digits always fit, so the common case pays one compare *)
+  if stop - i0 > 18 then parse_int_long buf ~pos i0 stop neg
+  else begin
+    let acc = ref 0 in
+    for i = i0 to stop - 1 do
+      let c = Char.code (Bytes.unsafe_get buf i) - Char.code '0' in
+      if c < 0 || c > 9 then bad_int ~pos;
+      acc := (!acc * 10) + c
+    done;
+    if neg then - !acc else !acc
+  end
 
-let pow10 = [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11;
-               1e12; 1e13; 1e14; 1e15 |]
+(* 10^0 .. 10^22: every entry is an exact double *)
+let pow10 = Array.init 23 (fun k -> float_of_string ("1e" ^ string_of_int k))
 
 let parse_float_slow buf pos len =
   Prof_gate.copy site_value len;
@@ -81,13 +96,18 @@ let parse_float_slow buf pos len =
   | Some f -> f
   | None -> bad_float ~pos
 
+(* Clinger's fast path: digits accumulate into an integer mantissa that
+   stays exact below 2^53 (every decimal of at most 15 significant digits
+   does), and one division by an exact 10^k, k <= 22, is then correctly
+   rounded. Anything else — more digits, exponents, odd syntax — takes the
+   correctly rounded [float_of_string] path. *)
 let parse_float buf pos len =
   if len = 0 then bad_float ~pos;
   let stop = pos + len in
   let neg = Bytes.unsafe_get buf pos = '-' in
-  let i = ref (if neg || Bytes.unsafe_get buf pos = '+' then pos + 1 else pos) in
+  let i0 = if neg || Bytes.unsafe_get buf pos = '+' then pos + 1 else pos in
+  let i = ref i0 in
   let mantissa = ref 0. in
-  let ok = ref (!i < stop) in
   (* integer part *)
   let continue_ = ref true in
   while !continue_ && !i < stop do
@@ -98,28 +118,34 @@ let parse_float buf pos len =
     end
     else continue_ := false
   done;
+  let int_digits = !i - i0 in
   (* fraction *)
-  if !i < stop && Bytes.unsafe_get buf !i = '.' then begin
-    incr i;
-    let frac_digits = ref 0 in
-    let continue_ = ref true in
-    while !continue_ && !i < stop do
-      let c = Bytes.unsafe_get buf !i in
-      if c >= '0' && c <= '9' then begin
-        mantissa := (!mantissa *. 10.) +. float_of_int (Char.code c - 48);
-        incr frac_digits;
-        incr i
-      end
-      else continue_ := false
-    done;
-    if !frac_digits < Array.length pow10 then
-      mantissa := !mantissa /. pow10.(!frac_digits)
-    else ok := false
-  end;
-  (* exponent or anything unexpected: fall back *)
-  if not !ok || !i < stop then parse_float_slow buf pos len
-  else if neg then -. !mantissa
-  else !mantissa
+  let frac_digits =
+    if !i < stop && Bytes.unsafe_get buf !i = '.' then begin
+      incr i;
+      let f0 = !i in
+      let continue_ = ref true in
+      while !continue_ && !i < stop do
+        let c = Bytes.unsafe_get buf !i in
+        if c >= '0' && c <= '9' then begin
+          mantissa := (!mantissa *. 10.) +. float_of_int (Char.code c - 48);
+          incr i
+        end
+        else continue_ := false
+      done;
+      !i - f0
+    end
+    else 0
+  in
+  if
+    !i < stop
+    || int_digits + frac_digits = 0
+    || frac_digits >= Array.length pow10
+    || !mantissa >= 9007199254740992. (* 2^53 *)
+  then parse_float_slow buf pos len
+  else
+    let f = !mantissa /. Array.unsafe_get pow10 frac_digits in
+    if neg then -. f else f
 
 let parse_bool buf pos len =
   if len = 1 then
@@ -138,6 +164,59 @@ let parse_bool buf pos len =
 let parse_string buf pos len =
   Prof_gate.copy site_field len;
   Bytes.sub_string buf pos len
+
+(* ---------- stop-byte scanning ----------
+
+   SWAR ("SIMD within a register", Zhang's speculative fast path): test 8
+   bytes per step for a stop byte, then finish byte by byte. [has_byte w m]
+   is nonzero iff some byte of [w] equals the byte repeated in [m] — the
+   has-zero-byte test on [w lxor m], exact as a yes/no answer. Which byte
+   matched is left to the byte loop, so byte order does not matter. *)
+
+let ones = 0x0101_0101_0101_0101L
+let highs = 0x8080_8080_8080_8080L
+let splat c = Int64.mul ones (Int64.of_int (Char.code c))
+let nl_mask = splat '\n'
+let cr_mask = splat '\r'
+
+let[@inline] has_byte w m =
+  let x = Int64.logxor w m in
+  Int64.logand (Int64.logand (Int64.sub x ones) (Int64.lognot x)) highs
+
+(* First index in [pos, limit) holding [sep], '\n' or '\r'; [limit] if none. *)
+let find_stop buf pos limit sep =
+  let sep_mask = splat sep in
+  let i = ref pos in
+  while
+    !i + 8 <= limit
+    &&
+    let w = Bytes.get_int64_le buf !i in
+    Int64.logor (has_byte w sep_mask)
+      (Int64.logor (has_byte w nl_mask) (has_byte w cr_mask))
+    = 0L
+  do
+    i := !i + 8
+  done;
+  while
+    !i < limit
+    &&
+    let c = Bytes.unsafe_get buf !i in
+    c <> sep && c <> '\n' && c <> '\r'
+  do
+    incr i
+  done;
+  !i
+
+(* First index in [pos, limit) holding '\n'; [limit] if none. *)
+let find_newline buf pos limit =
+  let i = ref pos in
+  while !i + 8 <= limit && has_byte (Bytes.get_int64_le buf !i) nl_mask = 0L do
+    i := !i + 8
+  done;
+  while !i < limit && Bytes.unsafe_get buf !i <> '\n' do
+    incr i
+  done;
+  !i
 
 (* ---------- navigation ---------- *)
 
@@ -167,41 +246,24 @@ module Cursor = struct
   (* A field ends at the separator, at a line terminator ('\r' of a CRLF
      ending or a bare '\n'), or at EOF. At a terminator or EOF the field is
      empty and the cursor does not move — this is how an empty final field
-     ("a,b,") parses, with [skip_line] consuming the terminator. *)
+     ("a,b,") parses, with [skip_line] consuming the terminator. Returns the
+     field's end and advances past the separator, if there is one. *)
+  let[@inline] scan_field t =
+    let start = t.pos in
+    let stop = find_stop t.buf start t.len t.sep in
+    if stop > start || stop < t.len then
+      Mmap_file.touch t.file start (stop - start + 1);
+    if stop < t.len && Bytes.unsafe_get t.buf stop = t.sep then t.pos <- stop + 1
+    else t.pos <- stop;
+    stop
+
   let next_field t =
     let start = t.pos in
-    let sep = t.sep in
-    let i = ref t.pos in
-    let continue_ = ref true in
-    while !continue_ && !i < t.len do
-      let c = Bytes.unsafe_get t.buf !i in
-      if c = sep || c = '\n' || c = '\r' then continue_ := false else incr i
-    done;
-    let stop = !i in
-    if stop > start || stop < t.len then
-      Mmap_file.touch t.file start (stop - start + 1);
-    (* advance past the separator, stay on the line terminator / EOF *)
-    if stop < t.len && Bytes.unsafe_get t.buf stop = sep then t.pos <- stop + 1
-    else t.pos <- stop;
-    (start, stop - start)
+    (start, scan_field t - start)
 
-  (* allocation-free variant of [next_field] for fields we never parse *)
-  let skip_field t =
-    let start = t.pos in
-    let sep = t.sep in
-    let i = ref t.pos in
-    let continue_ = ref true in
-    while !continue_ && !i < t.len do
-      let c = Bytes.unsafe_get t.buf !i in
-      if c = sep || c = '\n' || c = '\r' then continue_ := false else incr i
-    done;
-    let stop = !i in
-    if stop > start || stop < t.len then
-      Mmap_file.touch t.file start (stop - start + 1);
-    if stop < t.len && Bytes.unsafe_get t.buf stop = sep then t.pos <- stop + 1
-    else t.pos <- stop
+  let skip_field t = ignore (scan_field t)
 
-  let skip_fields t n = for _ = 1 to n do skip_field t done
+  let skip_fields t n = for _ = 1 to n do ignore (scan_field t) done
 
   let at_end_of_line t =
     t.pos >= t.len
@@ -211,12 +273,7 @@ module Cursor = struct
 
   let skip_line t =
     let start = t.pos in
-    let i = ref t.pos in
-    let continue_ = ref true in
-    while !continue_ && !i < t.len do
-      if Bytes.unsafe_get t.buf !i = '\n' then continue_ := false else incr i
-    done;
-    t.pos <- min (!i + 1) t.len;
+    t.pos <- min (find_newline t.buf start t.len + 1) t.len;
     Mmap_file.touch t.file start (t.pos - start)
 end
 
@@ -224,8 +281,10 @@ let count_rows file =
   let buf = Mmap_file.bytes file in
   let len = Mmap_file.length file in
   let n = ref 0 in
-  for i = 0 to len - 1 do
-    if Bytes.unsafe_get buf i = '\n' then incr n
+  let i = ref (find_newline buf 0 len) in
+  while !i < len do
+    incr n;
+    i := find_newline buf (!i + 1) len
   done;
   if len > 0 && Bytes.get buf (len - 1) <> '\n' then incr n;
   !n

@@ -88,7 +88,13 @@ type t = {
   mutable resident : int;
   mutable faults : int;
   mutable hits : int;
-  mutable last_page : int; (* fast path: page we most recently hit *)
+  mutable last_page : int; (* page most recently visited, -1 after a reset *)
+  (* [touch]'s fast path: the byte window [win_lo, win_hi) of [last_page].
+     A range inside it touches nothing new. Empty ([0, 0)) whenever
+     [last_page] is -1; the last page's window is open-ended because
+     clamping maps every position past the end onto it. *)
+  mutable win_lo : int;
+  mutable win_hi : int;
   injected_flips : int;
   injected_truncated_bytes : int;
 }
@@ -163,6 +169,8 @@ let of_bytes ?(config = Config.default) ?fault ~name data =
     faults = 0;
     hits = 0;
     last_page = -1;
+    win_lo = 0;
+    win_hi = 0;
     injected_flips;
     injected_truncated_bytes;
   }
@@ -183,9 +191,15 @@ let length t = Bytes.length t.data
 let bytes t = t.data
 let config t = t.config
 
-let touch_page t p =
-  if p = t.last_page then t.hits <- t.hits + 1
-  else begin
+let reset_window t =
+  t.last_page <- -1;
+  t.win_lo <- 0;
+  t.win_hi <- 0
+
+(* One page visit: a fault if [p] is not resident, else a hit. Visits to
+   [last_page] are free (the page cannot have left residency since). *)
+let visit_page t p =
+  if p <> t.last_page then begin
     t.last_page <- p;
     match t.residency with
     | Bitmap b ->
@@ -204,19 +218,24 @@ let touch_page t p =
          t.resident <- t.resident + 1 - List.length evicted)
   end
 
-let touch t pos len =
+let touch_pages t pos len =
   if len > 0 && t.n_pages > 0 then begin
     let last = Bytes.length t.data - 1 in
     let lo = min (max pos 0) last in
     let hi = min (max (pos + len - 1) 0) last in
     let ps = t.config.Config.page_size in
-    let p0 = lo / ps and p1 = hi / ps in
-    if p0 = p1 then touch_page t p0
-    else
-      for p = p0 to p1 do
-        touch_page t p
-      done
+    let p1 = hi / ps in
+    for p = lo / ps to p1 do
+      visit_page t p
+    done;
+    t.win_lo <- p1 * ps;
+    t.win_hi <- (if p1 = t.n_pages - 1 then max_int else (p1 + 1) * ps)
   end
+
+(* Two compares while the range stays inside the page last visited: no
+   division, no counter, no residency lookup. *)
+let touch t pos len =
+  if pos < t.win_lo || pos + len > t.win_hi then touch_pages t pos len
 
 let faults t = t.faults
 let hits t = t.hits
@@ -247,6 +266,8 @@ let fork_view t =
     faults = 0;
     hits = 0;
     last_page = -1;
+    win_lo = 0;
+    win_hi = 0;
   }
 
 let absorb ~into view =
@@ -267,7 +288,7 @@ let absorb ~into view =
        (List.rev (Lru.keys vlru));
      into.resident <- Lru.length lru
    | _ -> ());
-  into.last_page <- -1
+  reset_window into
 
 let simulated_io_seconds t =
   float_of_int t.faults *. t.config.Config.io_seconds_per_page
@@ -281,5 +302,5 @@ let drop_cache t =
    | Bitmap b -> Bytes.fill b 0 (Bytes.length b) '\000'
    | Bounded lru -> Lru.clear lru);
   t.resident <- 0;
-  t.last_page <- -1;
+  reset_window t;
   reset_counters t

@@ -510,10 +510,83 @@ let prop_tests =
         query_counts Scan_errors.Null_fill (mutate muts) = n);
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Extreme numbers: typed errors or correctly rounded values            *)
+(* ------------------------------------------------------------------ *)
+
+let write_text suffix text =
+  let path = fresh_path suffix in
+  let oc = open_out_bin path in
+  output_string oc text;
+  close_out oc;
+  path
+
+let reg_overflow =
+  let path = write_text ".csv" "1,10\n99999999999999999999,20\n3,30\n" in
+  fun db ->
+    Raw_db.register_csv db ~name:"t" ~path
+      ~columns:[ ("a", Dtype.Int); ("b", Dtype.Int) ] ()
+
+let number_tests =
+  [
+    Alcotest.test_case "int overflow: fail_fast raises bad int" `Quick (fun () ->
+        expect_data_error ~cause:"bad int" (db_with reg_overflow)
+          "SELECT SUM(a) FROM t");
+    Alcotest.test_case "int overflow: skip_row drops and records the row" `Quick
+      (fun () ->
+        let r =
+          Raw_db.query (db_with ~policy:Scan_errors.Skip_row reg_overflow)
+            "SELECT SUM(a), SUM(b) FROM t"
+        in
+        check_value "sum a" (Value.Int 4) (Column.get (Chunk.column r.chunk 0) 0);
+        check_value "sum b" (Value.Int 40) (Column.get (Chunk.column r.chunk 1) 0);
+        let errs = errors_of r in
+        Alcotest.(check bool) "recorded" true (errs.total > 0);
+        Alcotest.(check (list string)) "cause" [ "bad int" ]
+          (List.map fst errs.by_cause);
+        check_sample ~offset:5 ~field:0 ~cause:"bad int" (List.hd errs.samples));
+    Alcotest.test_case "int overflow: null_fill reads NULL" `Quick (fun () ->
+        let r =
+          Raw_db.query (db_with ~policy:Scan_errors.Null_fill reg_overflow)
+            "SELECT COUNT(a), SUM(a), SUM(b) FROM t"
+        in
+        let col i = Column.get (Chunk.column r.chunk i) 0 in
+        check_value "count a skips the NULL" (Value.Int 2) (col 0);
+        check_value "sum a" (Value.Int 4) (col 1);
+        check_value "row kept" (Value.Int 60) (col 2);
+        Alcotest.(check int) "one error" 1 (errors_of r).total);
+    Alcotest.test_case "18-digit float equals its SQL literal in every mode"
+      `Quick (fun () ->
+        let text = "210378260.358517796" in
+        let csv = write_text ".csv" (Printf.sprintf "1,0.5\n2,%s\n3,7.25\n" text) in
+        let jsonl =
+          write_text ".jsonl"
+            (Printf.sprintf "{\"k\":1,\"x\":0.5}\n{\"k\":2,\"x\":%s}\n" text)
+        in
+        let sql = "SELECT COUNT(*) FROM t WHERE x = " ^ text in
+        let columns = [ ("k", Dtype.Int); ("x", Dtype.Float) ] in
+        List.iter
+          (fun access ->
+            let options = { Planner.default with Planner.access } in
+            List.iter
+              (fun (label, register) ->
+                let db = Raw_db.create ~options () in
+                register db;
+                check_value
+                  (Printf.sprintf "%s / %s" label (Access.mode_to_string access))
+                  (Value.Int 1) (Raw_db.scalar db sql))
+              [
+                ("csv", fun db -> Raw_db.register_csv db ~name:"t" ~path:csv ~columns ());
+                ("jsonl", fun db -> Raw_db.register_jsonl db ~name:"t" ~path:jsonl ~columns);
+              ])
+          [ Access.Dbms; Access.External; Access.In_situ; Access.Jit ]);
+  ]
+
 let suites =
   [
     ("faults:corpus", corpus_tests);
     ("faults:injection", injection_tests);
+    ("faults:numbers", number_tests);
     ("faults:posmap", posmap_tests);
     ("faults:props", prop_tests);
   ]

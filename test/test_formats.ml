@@ -46,6 +46,55 @@ let csv_parser_tests =
             (float_of_string s)
             (Csv.parse_float (b s) 0 (String.length s))
         done);
+    Alcotest.test_case "parse_int overflow is a typed bad int" `Quick (fun () ->
+        let parse s = Csv.parse_int (b s) 0 (String.length s) in
+        let rejects s =
+          match parse s with
+          | n -> Alcotest.failf "%s parsed as %d" s n
+          | exception Scan_errors.Error e ->
+            Alcotest.(check string) s "bad int" e.Scan_errors.cause
+        in
+        Alcotest.(check int) "max_int" max_int (parse (string_of_int max_int));
+        Alcotest.(check int) "min_int" min_int (parse (string_of_int min_int));
+        Alcotest.(check int) "18 nines" 999_999_999_999_999_999
+          (parse "999999999999999999");
+        Alcotest.(check int) "leading zeros" 7 (parse "+0000000000000000000007");
+        rejects "4611686018427387904";
+        rejects "-4611686018427387905";
+        rejects "99999999999999999999";
+        rejects "-99999999999999999999";
+        rejects "1234567890123456789x");
+    Alcotest.test_case "parse_float is correctly rounded" `Quick (fun () ->
+        let same s =
+          let want = float_of_string s in
+          let got = Csv.parse_float (b s) 0 (String.length s) in
+          if not (Int64.equal (Int64.bits_of_float want) (Int64.bits_of_float got))
+          then Alcotest.failf "%s: %h, want %h" s got want
+        in
+        (* 18 significant digits: the old fast path was off by an ulp *)
+        List.iter same
+          [ "210378260.358517796"; "0.1"; "-0.0"; "9007199254740993";
+            "123456789012345.6"; "1.0000000000000000000001"; "1.";
+            "0.0000000000000000000001234"; "-17.25e-3" ];
+        Alcotest.(check bool) "lone dot rejected" true
+          (match Csv.parse_float (b ".") 0 1 with
+           | _ -> false
+           | exception Scan_errors.Error _ -> true));
+    Test_util.qtest ~count:500 "parse_float agrees bit-for-bit with float_of_string"
+      QCheck2.Gen.(
+        map
+          (fun (neg, (int_part, frac)) ->
+            (if neg then "-" else "")
+            ^ int_part
+            ^ match frac with None -> "" | Some f -> "." ^ f)
+          (pair bool
+             (pair
+                (string_size ~gen:numeral (int_range 1 19))
+                (opt (string_size ~gen:numeral (int_range 0 24))))))
+      (fun s ->
+        Int64.equal
+          (Int64.bits_of_float (float_of_string s))
+          (Int64.bits_of_float (Csv.parse_float (b s) 0 (String.length s))));
     Alcotest.test_case "parse_bool variants" `Quick (fun () ->
         Alcotest.(check bool) "1" true (Csv.parse_bool (b "1") 0 1);
         Alcotest.(check bool) "0" false (Csv.parse_bool (b "0") 0 1);
@@ -178,6 +227,180 @@ let cursor_tests =
         Csv.generate ~path:p2 ~n_rows:20 ~dtypes ~seed:9 ();
         let read p = Bytes.to_string (Mmap_file.bytes (Mmap_file.open_file p)) in
         Alcotest.(check string) "identical" (read p1) (read p2));
+  ]
+
+(* ---------------- SWAR stop-byte scan vs the byte loop ---------------- *)
+
+(* The byte-at-a-time reference the word-at-a-time scan must agree with. *)
+module Ref_cursor = struct
+  type t = { buf : Bytes.t; limit : int; sep : char; mutable pos : int }
+
+  let stop t =
+    let i = ref t.pos in
+    while
+      !i < t.limit
+      && (let c = Bytes.get t.buf !i in c <> t.sep && c <> '\n' && c <> '\r')
+    do incr i done;
+    !i
+
+  let next_field t =
+    let start = t.pos and stop = stop t in
+    t.pos <- (if stop < t.limit && Bytes.get t.buf stop = t.sep then stop + 1 else stop);
+    (start, stop - start)
+
+  let skip_line t =
+    let i = ref t.pos in
+    while !i < t.limit && Bytes.get t.buf !i <> '\n' do incr i done;
+    t.pos <- min (!i + 1) t.limit
+end
+
+let naive_count_rows s =
+  let n = ref 0 in
+  String.iter (fun c -> if c = '\n' then incr n) s;
+  if s <> "" && s.[String.length s - 1] <> '\n' then incr n;
+  !n
+
+let seps = [ ','; ';'; '|'; '\t' ]
+
+type cursor_op = Next | Skip | Line
+
+let csv_bytes_gen sep =
+  let open QCheck2.Gen in
+  let byte =
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (3, char_range '0' '9');
+        (2, pure sep);
+        (1, oneofl [ ','; ';'; '|'; '\t' ]);
+        (1, pure '\n');
+        (1, pure '\r');
+        (1, map Char.chr (int_range 0x80 0xFF));
+      ]
+  in
+  string_size ~gen:byte (int_range 0 90)
+
+let walk_agrees sep s start limit ops =
+  let f = mmap_of_string s in
+  let len = String.length s in
+  let limit = min limit len in
+  let start = min start limit in
+  let cur = Csv.Cursor.create ~sep ~pos:start ~limit f in
+  let r = { Ref_cursor.buf = Bytes.of_string s; limit; sep; pos = start } in
+  List.for_all
+    (fun op ->
+      let same_result =
+        match op with
+        | Next -> Csv.Cursor.next_field cur = Ref_cursor.next_field r
+        | Skip ->
+          Csv.Cursor.skip_field cur;
+          ignore (Ref_cursor.next_field r);
+          true
+        | Line ->
+          Csv.Cursor.skip_line cur;
+          Ref_cursor.skip_line r;
+          true
+      in
+      same_result
+      && Csv.Cursor.pos cur = r.pos
+      && Csv.Cursor.at_eof cur = (r.pos >= limit))
+    ops
+
+let field_at sep s pos =
+  let cur = Csv.Cursor.create ~sep ~pos (mmap_of_string s) in
+  Csv.Cursor.next_field cur
+
+let swar_tests =
+  [
+    Test_util.qtest ~count:400 "cursor walks agree with the byte loop"
+      QCheck2.Gen.(
+        oneofl seps >>= fun sep ->
+        quad (pure sep) (csv_bytes_gen sep)
+          (pair (int_range 0 100) (int_range 0 100))
+          (list_size (int_range 0 40) (oneofl [ Next; Next; Skip; Line ])))
+      (fun (sep, s, (start, limit), ops) ->
+        walk_agrees sep s start limit ops
+        && walk_agrees sep s 0 max_int ops);
+    Alcotest.test_case "stop bytes found at every offset mod 8" `Quick (fun () ->
+        List.iter
+          (fun sep ->
+            List.iter
+              (fun stop ->
+                for start = 0 to 7 do
+                  for len = 0 to 17 do
+                    (* high bytes fill the field: no false stop on 0x80-0xFF *)
+                    let s =
+                      String.make start 'x' ^ String.make len '\xe9' ^ String.make 1 stop
+                      ^ "yy\n"
+                    in
+                    Alcotest.(check (pair int int))
+                      (Printf.sprintf "sep %C stop %C at %d+%d" sep stop start len)
+                      (start, len) (field_at sep s start)
+                  done
+                done)
+              [ sep; '\n'; '\r' ])
+          seps);
+    Alcotest.test_case "fields ending near EOF and empty final fields" `Quick
+      (fun () ->
+        List.iter
+          (fun sep ->
+            for tail = 0 to 10 do
+              let s = "ab" ^ String.make 1 sep ^ String.make tail '9' in
+              let f = mmap_of_string s in
+              let cur = Csv.Cursor.create ~sep f in
+              Csv.Cursor.skip_field cur;
+              Alcotest.(check (pair int int)) "tail field" (3, tail)
+                (Csv.Cursor.next_field cur);
+              Alcotest.(check bool) "eof" true (Csv.Cursor.at_eof cur)
+            done;
+            let f = mmap_of_string ("a" ^ String.make 1 sep) in
+            let cur = Csv.Cursor.create ~sep f in
+            ignore (Csv.Cursor.next_field cur);
+            Alcotest.(check (pair int int)) "empty final field" (2, 0)
+              (Csv.Cursor.next_field cur))
+          seps);
+    Alcotest.test_case "count_rows edge cases" `Quick (fun () ->
+        List.iter
+          (fun s ->
+            Alcotest.(check int) (String.escaped s) (naive_count_rows s)
+              (Csv.count_rows (mmap_of_string s)))
+          [ ""; "\n"; "a"; "a\r\nb\r\n"; "a\r\nb"; "1234567\n"; "12345678\n9";
+            String.make 40 '\n'; String.make 23 'x' ^ "\n" ^ String.make 9 'y' ]);
+    Test_util.qtest ~count:300 "count_rows agrees with the naive count"
+      (csv_bytes_gen ',')
+      (fun s -> Csv.count_rows (mmap_of_string s) = naive_count_rows s);
+    Test_util.qtest ~count:20 "par 1 == par 4 over odd separators, CRLF and high bytes"
+      QCheck2.Gen.(triple (oneofl seps) (int_range 1 300) bool)
+      (fun (sep, n, crlf) ->
+        let path = Test_util.fresh_path ".csv" in
+        let oc = open_out_bin path in
+        for r = 0 to n - 1 do
+          Printf.fprintf oc "%d%c\xc3\xa9t\xff%d%c%d.25%s" (r * 7) sep r sep (r - 50)
+            (if crlf then "\r\n" else "\n")
+        done;
+        close_out oc;
+        let schema =
+          Raw_vector.Schema.of_pairs
+            [ ("a", Dtype.Int); ("s", Dtype.String); ("x", Dtype.Float) ]
+        in
+        let run mode parallelism =
+          let file = Mmap_file.open_file path in
+          let cols, pm =
+            Raw_core.Scan_csv.par_scan ~mode ~parallelism ~file ~sep ~schema
+              ~needed:[ 0; 1; 2 ] ~tracked:[ 0; 2 ] ()
+          in
+          (cols, Option.map Posmap.n_rows pm)
+        in
+        List.for_all
+          (fun mode ->
+            let c1, p1 = run mode 1 and c4, p4 = run mode 4 in
+            Array.for_all2 Column.equal c1 c4
+            && p1 = p4
+            && p1 = Some n
+            && Column.get c1.(1) (n - 1)
+               = Value.String ("\xc3\xa9t\xff" ^ string_of_int (n - 1))
+            && Column.get c1.(2) 0 = Value.Float (-50.25))
+          [ Raw_core.Scan_csv.Interpreted; Raw_core.Scan_csv.Jit ]);
   ]
 
 (* ---------------- Posmap ---------------- *)
@@ -433,6 +656,7 @@ let suites =
   [
     ("formats.csv_parsers", csv_parser_tests);
     ("formats.csv_cursor", cursor_tests);
+    ("formats.csv_swar", swar_tests);
     ("formats.posmap", posmap_tests);
     ("formats.fwb", fwb_tests);
     ("formats.hep", hep_tests);

@@ -81,7 +81,11 @@ let mmap_tests =
         Alcotest.(check int) "fault" 1 (Mmap_file.faults f);
         Mmap_file.touch f 4 4;
         Alcotest.(check int) "still one fault" 1 (Mmap_file.faults f);
-        Alcotest.(check int) "hit" 1 (Mmap_file.hits f));
+        (* hits count page visits: staying inside page 0 is no new visit *)
+        Alcotest.(check int) "hit" 0 (Mmap_file.hits f);
+        Mmap_file.touch f 16 1;
+        Mmap_file.touch f 8 1;
+        Alcotest.(check int) "revisit hits" 1 (Mmap_file.hits f));
     Alcotest.test_case "span across pages faults each page" `Quick (fun () ->
         let f = mk_file ~config:(small_pages ()) 64 in
         Mmap_file.touch f 10 20;
@@ -169,6 +173,142 @@ let mmap_tests =
           (Bytes.to_string (Mmap_file.bytes f)));
   ]
 
+(* ---------------- page accounting vs a reference model ---------------- *)
+
+(* The naive model visits every page of every range, with no fast path:
+   a resident page is a hit (and becomes most recently used), any other a
+   fault. Only a revisit of the page visited last is free, which is what
+   "hits count page visits" means. Residency is an MRU-first page list,
+   capped for Bounded(k). *)
+module Model = struct
+  type t = {
+    cap : int option;
+    mutable pages : int list;  (* MRU first *)
+    mutable faults : int;
+    mutable hits : int;
+    mutable last : int;
+  }
+
+  let create cap = { cap; pages = []; faults = 0; hits = 0; last = -1 }
+  let fork m = { m with faults = 0; hits = 0; last = -1 }
+
+  let add m p =
+    m.pages <- p :: List.filter (( <> ) p) m.pages;
+    match m.cap with
+    | Some k when List.length m.pages > k ->
+      m.pages <- List.filteri (fun i _ -> i < k) m.pages
+    | _ -> ()
+
+  let touch m ~ps ~length pos len =
+    if len > 0 && length > 0 then begin
+      let clamp x = min (max x 0) (length - 1) in
+      for p = clamp pos / ps to clamp (pos + len - 1) / ps do
+        if p <> m.last then begin
+          m.last <- p;
+          if List.mem p m.pages then m.hits <- m.hits + 1
+          else m.faults <- m.faults + 1;
+          add m p
+        end
+      done
+    end
+
+  let absorb ~into v =
+    into.faults <- into.faults + v.faults;
+    into.hits <- into.hits + v.hits;
+    List.iter (fun p -> if not (List.mem p into.pages) then add into p)
+      (List.rev v.pages);
+    into.last <- -1
+
+  let drop m =
+    m.pages <- [];
+    m.faults <- 0;
+    m.hits <- 0;
+    m.last <- -1
+end
+
+type page_op =
+  | Touch of int * int
+  | Views of (int * int) list list  (* fork one view per list, absorb in order *)
+  | Drop
+
+let page_ops_gen =
+  let open QCheck2.Gen in
+  let touch = pair (int_range (-8) 140) (int_range (-2) 40) in
+  let touches = list_size (int_range 0 12) touch in
+  list_size (int_range 1 40)
+    (frequency
+       [
+         (8, map (fun (p, l) -> Touch (p, l)) touch);
+         (2, map (fun ts -> Views ts) (oneofl [ 1; 4 ] >>= fun k -> list_repeat k touches));
+         (1, pure Drop);
+       ])
+
+let page_io = 0.00037
+
+let run_page_ops ~cap ~length ops =
+  let ps = 16 in
+  let config =
+    { Mmap_file.Config.page_size = ps; io_seconds_per_page = page_io;
+      residency_capacity = cap }
+  in
+  let f = Mmap_file.of_bytes ~config ~name:"model" (Bytes.make length 'x') in
+  let m = Model.create cap in
+  let agree what m f =
+    let ok =
+      Mmap_file.faults f = m.Model.faults
+      && Mmap_file.hits f = m.Model.hits
+      && Mmap_file.resident_pages f = List.length m.Model.pages
+      && Int64.equal
+           (Int64.bits_of_float (Mmap_file.simulated_io_seconds f))
+           (Int64.bits_of_float (float_of_int m.Model.faults *. page_io))
+    in
+    if not ok then
+      QCheck2.Test.fail_reportf
+        "%s: faults %d/%d hits %d/%d resident %d/%d" what
+        (Mmap_file.faults f) m.Model.faults (Mmap_file.hits f) m.Model.hits
+        (Mmap_file.resident_pages f) (List.length m.Model.pages)
+  in
+  List.iter
+    (function
+      | Touch (pos, len) ->
+        Mmap_file.touch f pos len;
+        Model.touch m ~ps ~length pos len;
+        agree "touch" m f
+      | Drop ->
+        Mmap_file.drop_cache f;
+        Model.drop m;
+        agree "drop_cache" m f
+      | Views per_view ->
+        (* one view per worker: at parallelism 4 the views really run on
+           their own domains, as in a morsel-parallel scan *)
+        let views = List.map (fun ts -> (Mmap_file.fork_view f, ts)) per_view in
+        let run (v, ts) = List.iter (fun (pos, len) -> Mmap_file.touch v pos len) ts in
+        (match views with
+         | [ one ] -> run one
+         | _ -> List.iter Domain.join (List.map (fun w -> Domain.spawn (fun () -> run w)) views));
+        let models = List.map (fun ts -> (Model.fork m, ts)) per_view in
+        List.iter2
+          (fun (v, _) (mv, ts) ->
+            List.iter (fun (pos, len) -> Model.touch mv ~ps ~length pos len) ts;
+            agree "view" mv v;
+            Mmap_file.absorb ~into:f v;
+            Model.absorb ~into:m mv;
+            agree "absorb" m f)
+          views models)
+    ops;
+  true
+
+let model_tests =
+  List.concat_map
+    (fun (label, cap) ->
+      [
+        Test_util.qtest ~count:150
+          (Printf.sprintf "%s residency agrees with the naive page model" label)
+          QCheck2.Gen.(pair (int_range 0 130) page_ops_gen)
+          (fun (length, ops) -> run_page_ops ~cap ~length ops);
+      ])
+    [ ("bitmap", None); ("bounded(1)", Some 1); ("bounded(3)", Some 3) ]
+
 (* ---------------- Io_stats / Timing ---------------- *)
 
 let stats_tests =
@@ -241,5 +381,6 @@ let suites =
   [
     ("storage.lru", lru_tests);
     ("storage.mmap", mmap_tests);
+    ("storage.page_model", model_tests);
     ("storage.stats", stats_tests);
   ]
