@@ -64,6 +64,20 @@ let entry_files cat logical =
       | None -> acc)
     [] (Logical.tables logical)
 
+(* Open every referenced table's file through the accessor the planner
+   would use (the HEP reader shares its mapped file with the catalog
+   entry), so the whole-file read is charged to its own span, not to
+   [plan]. Already-open files cost a lookup. *)
+let open_files cat logical =
+  List.iter
+    (fun t ->
+      let entry = Catalog.get cat t in
+      match entry.Catalog.format with
+      | Format_kind.Hep_events | Format_kind.Hep_particles _ ->
+        ignore (Catalog.hep_reader cat entry)
+      | _ -> ignore (Catalog.file cat entry))
+    (Logical.tables logical)
+
 let io_of_files cat logical =
   List.fold_left
     (fun acc f -> acc +. Mmap_file.simulated_io_seconds f)
@@ -205,6 +219,8 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
           Prof_gate.with_gate cfg.Config.profile (fun () ->
             with_obs (fun () ->
                 Cancel.check cancel;
+                Trace.with_span ~cat:"storage" "storage.open" (fun () ->
+                    open_files cat logical);
                 let exact () =
                   let op, schema =
                     Trace.with_span ~cat:"plan" "plan" (fun () ->

@@ -81,12 +81,23 @@ val bytes : t -> Bytes.t
     read-only. *)
 
 val touch : t -> int -> int -> unit
-(** [touch t pos len] records an access to bytes [pos, pos+len). Cheap when
-    the range stays within the most recently touched page. Out-of-range
-    positions are clamped. *)
+(** [touch t pos len] records an access to bytes [pos, pos+len).
+    Out-of-range positions are clamped. Accounting is per page, not per
+    call: while the range stays inside the page visited last, [touch] is
+    two comparisons against that page's byte window and records nothing.
+    Only a range reaching another page visits pages — each page of the
+    range other than the one visited last, in order. The window is reset
+    by {!of_bytes}, {!fork_view}, {!absorb} and {!drop_cache}, so every
+    residency mode sees the same page sequence as if each range were
+    visited page by page. *)
 
 val faults : t -> int
+(** Page visits that found the page not resident. *)
+
 val hits : t -> int
+(** Page visits that found the page resident. A touch that stays inside
+    the page visited last is not a visit and counts nothing. *)
+
 val resident_pages : t -> int
 
 (** {1 Concurrent-read views}
