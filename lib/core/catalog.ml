@@ -230,6 +230,14 @@ let hep_reader t entry =
     entry.identity <- File_id.stat entry.path;
     r
 
+let open_entry t entry =
+  match entry.format with
+  | Format_kind.Hep_events | Format_kind.Hep_particles _ ->
+    Hep.Reader.file (hep_reader t entry)
+  | Format_kind.Csv _ | Format_kind.Jsonl | Format_kind.Jsonl_array _
+  | Format_kind.Fwb | Format_kind.Ibx ->
+    file t entry
+
 let dtypes_of_schema schema =
   Array.of_list
     (List.map (fun (f : Schema.field) -> f.dtype) (Schema.fields schema))

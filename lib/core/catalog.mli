@@ -84,6 +84,11 @@ val tables : t -> string list
 
 val file : t -> entry -> Mmap_file.t
 val hep_reader : t -> entry -> Hep.Reader.t
+val open_entry : t -> entry -> Mmap_file.t
+(** The entry's mapped file, opened the way its scans open it: through
+    {!hep_reader} for the HEP views (so they share one file), through
+    {!file} otherwise. *)
+
 val n_rows : t -> entry -> int
 (** Counts rows on first call (CSV: newline scan; FWB: size/row_size; HEP
     events: header; HEP particles: collection-length scan building the

@@ -64,18 +64,12 @@ let entry_files cat logical =
       | None -> acc)
     [] (Logical.tables logical)
 
-(* Open every referenced table's file through the accessor the planner
-   would use (the HEP reader shares its mapped file with the catalog
-   entry), so the whole-file read is charged to its own span, not to
-   [plan]. Already-open files cost a lookup. *)
+(* Open every referenced table's file the way its scans will, so the
+   whole-file read is charged to its own span, not to [plan].
+   Already-open files cost a lookup. *)
 let open_files cat logical =
   List.iter
-    (fun t ->
-      let entry = Catalog.get cat t in
-      match entry.Catalog.format with
-      | Format_kind.Hep_events | Format_kind.Hep_particles _ ->
-        ignore (Catalog.hep_reader cat entry)
-      | _ -> ignore (Catalog.file cat entry))
+    (fun t -> ignore (Catalog.open_entry cat (Catalog.get cat t)))
     (Logical.tables logical)
 
 let io_of_files cat logical =
