@@ -159,9 +159,7 @@ let start_server ~config ~phase =
   Raw_db.register_csv db ~name:"t120" ~path:(Bench_util.q120_csv ())
     ~columns:(Bench_util.colnames_mixed Bench_util.q120_dtypes) ();
   let server =
-    Thread.create
-      (fun () -> Server.serve ~batch_window:0.003 ~socket_path db)
-      ()
+    Thread.create (fun () -> Server.serve ~socket_path db) ()
   in
   let probe =
     let deadline = Unix.gettimeofday () +. 10.0 in

@@ -2,13 +2,15 @@
 
    The one-shot CLI pays bind + cold-scan costs on every invocation; the
    server amortizes them across clients (statement cache, shared scans,
-   result cache). This experiment measures queries/sec at 8/32/64
+   result cache). This experiment measures queries/sec at 1/8/32/64
    concurrent sessions against a live [Server.serve] instance, in two
    phases per session count:
 
    - cold: every client sends a count-star query with a distinct
-     [WHERE col0 < K] threshold, so nothing is in the result cache and contemporaneous
-     queries on the same table fold into shared scans;
+     [WHERE col0 < K] threshold, so nothing is in the result cache and
+     queries on one table that queue while a batch runs fold into shared
+     scans (one session never queues behind another: its row is the
+     lone-query latency floor);
    - warm: the same queries again, now answered from the result cache.
 
    Every response is verified against counts precomputed from a private
@@ -64,7 +66,7 @@ let connect_when_ready socket_path =
 
 let e24 () =
   Bench_util.header "e24 — multi-client serving throughput"
-    "queries/sec through rawq serve at 8/32/64 sessions, cold vs warm cache";
+    "queries/sec through rawq serve at 1/8/32/64 sessions, cold vs warm cache";
   let socket_path =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "rawq_e24_%d.sock" (Unix.getpid ()))
@@ -89,9 +91,7 @@ let e24 () =
       Raw_db.register_csv db ~name:"t120" ~path:(Bench_util.q120_csv ())
         ~columns:(Bench_util.colnames_mixed Bench_util.q120_dtypes) ();
       let server =
-        Thread.create
-          (fun () -> Server.serve ~batch_window:0.003 ~socket_path db)
-          ()
+        Thread.create (fun () -> Server.serve ~socket_path db) ()
       in
       let probe = connect_when_ready socket_path in
       (match Server.Client.ping probe with
@@ -168,7 +168,7 @@ let e24 () =
           (Server.Client.err_to_string e));
       Server.Client.close c;
       Thread.join server)
-    [ 8; 32; 64 ];
+    [ 1; 8; 32; 64 ];
   if !failures > 0 then begin
     Printf.eprintf "e24: %d wrong or failed response(s)\n%!" !failures;
     exit 1

@@ -546,13 +546,6 @@ let socket_arg =
            ~doc:"Unix socket path the server listens on (an existing \
                  socket file is replaced).")
 
-let batch_window_arg =
-  Arg.(value & opt float 2.0
-       & info [ "batch-window" ] ~docv:"MS"
-           ~doc:"Shared-scan batching window in milliseconds (default 2): \
-                 queries on the same table arriving within it are served \
-                 by one raw-file traversal. 0 disables batching delay.")
-
 let no_result_cache_arg =
   Arg.(value & flag
        & info [ "no-result-cache" ]
@@ -616,7 +609,7 @@ let serve_profile_arg =
 
 let serve_main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy
     every par on_error deadline memory_budget max_concurrent approx
-    approx_seed chunk_rows profile history socket batch_window no_result_cache
+    approx_seed chunk_rows profile history socket no_result_cache
     max_request_bytes request_timeout idle_timeout max_sessions telemetry_tick
     trace_retain =
   try
@@ -647,9 +640,7 @@ let serve_main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy
       (String.concat ", " (Raw_db.tables db))
       socket;
     Format.print_flush ();
-    Server.serve
-      ~batch_window:(batch_window /. 1000.)
-      ~cache_results:(not no_result_cache) ~socket_path:socket db;
+    Server.serve ~cache_results:(not no_result_cache) ~socket_path:socket db;
     Format.printf "rawq: server on %s shut down cleanly@." socket;
     0
   with
@@ -669,8 +660,8 @@ let serve_cmd =
        ~doc:
          "Serve the registered tables to concurrent clients over a Unix \
           socket: one JSON request/response line per query, with shared \
-          scans (concurrent queries on one table within the batching \
-          window execute as a single raw-file traversal) and a statement \
+          scans (queries on one table that queue while the server is \
+          busy execute as a single raw-file traversal) and a statement \
           + result cache invalidated when the underlying files change. \
           Hostile or broken clients are contained by protocol armor: \
           bounded request lines, request/idle timeouts, and session/queue \
@@ -684,7 +675,7 @@ let serve_cmd =
       $ on_error_arg $ deadline_arg $ memory_budget_arg $ max_concurrent_arg
       $ approx_arg $ approx_seed_arg $ chunk_rows_arg
       $ serve_profile_arg
-      $ history_arg $ socket_arg $ batch_window_arg $ no_result_cache_arg
+      $ history_arg $ socket_arg $ no_result_cache_arg
       $ max_request_bytes_arg $ request_timeout_arg $ idle_timeout_arg
       $ max_sessions_arg $ telemetry_tick_arg $ trace_retain_arg)
 

@@ -246,7 +246,6 @@ end
 
 type t = {
   db : Raw_db.t;
-  batch_window : float;
   max_pending : int;
   cache_results : bool;
   (* armor knobs, copied out of the db's Config at serve time *)
@@ -268,9 +267,8 @@ type t = {
   mutable session_fds : (int * Unix.file_descr) list;
 }
 
-(* the hint we attach to shed responses: long enough to clear a batch
-   window, never silly-small *)
-let retry_hint t = Float.max (4. *. t.batch_window) 0.05
+(* seconds a shed client should wait before retrying *)
+let retry_hint = 0.05
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes                                                            *)
@@ -289,7 +287,7 @@ let outcome_of_exn = function
   | Resource_error.Cancelled _ -> err 4 "cancelled"
   | Resource_error.Overloaded { active; limit } ->
     (* admission rejects before executing anything, so a retry is safe *)
-    err ~kind:"overloaded" ~retry_after:0.05 5
+    err ~kind:"overloaded" ~retry_after:retry_hint 5
       (Printf.sprintf "overloaded: %d active (limit %d); retry later" active
          limit)
   | e -> err 3 (Printexc.to_string e)
@@ -499,8 +497,7 @@ let batcher_loop t =
           t.queue <> [])
     in
     if proceed then begin
-      (* the batching window: let contemporaries join the batch *)
-      if t.batch_window > 0. then Thread.delay t.batch_window;
+      (* group commit: the batch is whatever queued while the last one ran *)
       let batch =
         Mutex.protect t.qm (fun () ->
             let b = List.rev t.queue in
@@ -673,7 +670,7 @@ let submit t session_id ~trace ~timing sql =
         ("session", string_of_int session_id);
         ("max_pending", string_of_int t.max_pending);
       ];
-    err ~kind:"overloaded" ~retry_after:(retry_hint t) 5
+    err ~kind:"overloaded" ~retry_after:retry_hint 5
       (Printf.sprintf "overloaded: %d requests queued; retry later"
          t.max_pending)
 
@@ -1027,12 +1024,12 @@ let handle_session t session_id fd =
 (* Past the session cap a connection gets exactly one line — code 5 with
    a retry hint — and the door closed; it never gets a session thread
    that could hold engine-side state. *)
-let shed_session t fd =
+let shed_session fd =
   Unix.set_nonblock fd;
   let line =
     Jsons.to_string
       (response_of_outcome Jsons.Null
-         (err ~kind:"overloaded" ~retry_after:(retry_hint t) 5
+         (err ~kind:"overloaded" ~retry_after:retry_hint 5
             "overloaded: session limit reached; retry later"))
     ^ "\n"
   in
@@ -1059,8 +1056,7 @@ let ticker_loop t =
   in
   loop ()
 
-let serve ?(batch_window = 0.002) ?(max_pending = 1024) ?(cache_results = true)
-    ~socket_path db =
+let serve ?(max_pending = 1024) ?(cache_results = true) ~socket_path db =
   (* a client vanishing mid-write must not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
@@ -1069,7 +1065,6 @@ let serve ?(batch_window = 0.002) ?(max_pending = 1024) ?(cache_results = true)
   let t =
     {
       db;
-      batch_window;
       max_pending;
       cache_results;
       max_request_bytes = cfg.Config.max_request_bytes;
@@ -1160,7 +1155,7 @@ let serve ?(batch_window = 0.002) ?(max_pending = 1024) ?(cache_results = true)
                       | Some n -> string_of_int n
                       | None -> "none" );
                   ];
-                sessions := Thread.create (shed_session t) fd :: !sessions
+                sessions := Thread.create shed_session fd :: !sessions
               end;
               accept_loop 0.05)
         end

@@ -109,15 +109,16 @@
 
     {b Execution model.} Each accepted session gets a thread that parses
     requests and blocks per query; queries funnel into a single batcher
-    thread, which waits a [batch_window] after the first arrival so
-    contemporaries join the batch, then (1) binds through the statement
-    cache, (2) re-stats the batch's files, invalidating caches for any
-    that changed ({!Raw_db.refresh_tables}), (3) answers what it can from
-    the result cache, and (4) groups the rest by table: groups of two or
-    more shareable queries execute as one {!Shared_scan} traversal under
-    one admission slot, the rest run individually through the normal
-    executor. The batcher is the only thread driving the engine, so the
-    adaptive state keeps its single-writer discipline.
+    thread. The batcher never waits for company: when it wakes it takes
+    everything queued — under load, the requests that arrived while the
+    previous batch executed (group commit) — and (1) binds through the
+    statement cache, (2) re-stats the batch's files, invalidating caches
+    for any that changed ({!Raw_db.refresh_tables}), (3) answers what it
+    can from the result cache, and (4) groups the rest by table: groups of
+    two or more shareable queries execute as one {!Shared_scan} traversal
+    under one admission slot, the rest run individually through the
+    normal executor. The batcher is the only thread driving the engine,
+    so the adaptive state keeps its single-writer discipline.
 
     {b Shutdown.} A [{"op": "shutdown"}] request answers, stops the accept
     loop, drains in-flight queries, half-closes the sessions and removes
@@ -133,21 +134,21 @@
     logged to stderr with their session id and cause. *)
 
 val serve :
-  ?batch_window:float ->
   ?max_pending:int ->
   ?cache_results:bool ->
   socket_path:string ->
   Raw_db.t ->
   unit
 (** Listen on [socket_path] (an existing socket file is replaced) and
-    block until a client requests shutdown. [batch_window] (seconds,
-    default 2 ms) is the shared-scan batching window — 0 disables
-    batching delay; [max_pending] (default 1024) bounds the queue, beyond
-    which requests are rejected with code 5 and a [retry_after] hint;
-    [cache_results] (default [true]) enables the result cache. The armor
-    knobs ([max_request_bytes], [request_timeout], [idle_timeout],
-    [max_sessions]) come from the database's {!Config}. Raises
-    [Unix.Unix_error] if the socket cannot be bound. *)
+    block until a client requests shutdown. A lone query or cache hit on
+    an idle server is answered at once; queries that queue while a batch
+    executes share the next one. [max_pending] (default 1024) bounds the
+    queue, beyond which requests are rejected with code 5 and a 50 ms
+    [retry_after] hint; [cache_results] (default [true]) enables the
+    result cache. The armor knobs ([max_request_bytes],
+    [request_timeout], [idle_timeout], [max_sessions]) come from the
+    database's {!Config}. Raises [Unix.Unix_error] if the socket cannot
+    be bound. *)
 
 (** A minimal client for the line protocol — what [rawq client], the
     throughput bench and the tests use. Not thread-safe; use one

@@ -1,11 +1,11 @@
 (** Shared scans: one raw-file traversal feeding N concurrent queries.
 
-    The server groups queries that arrive within a batching window by the
-    raw file they read; a group executes as {e one} pass that materializes
-    the union of the members' scan columns (through the session's full
-    adaptive access-path machinery — positional maps, shreds, JIT
-    templates), then replays the materialized columns as each member's
-    scan-output stream. Members therefore cost one traversal + cheap
+    The server groups the queries of one batch — those that queued while
+    the previous batch executed — by the raw file they read; a group
+    executes as {e one} pass that materializes the union of the members'
+    scan columns (through the session's full adaptive access-path
+    machinery — positional maps, shreds, JIT templates), then replays the
+    materialized columns as each member's scan-output stream. Members therefore cost one traversal + cheap
     in-memory operator evaluation instead of N traversals — the paper's
     repeated-access economics applied across concurrent clients instead of
     across time.

@@ -237,6 +237,83 @@ let int_rows j =
       rows
   | _ -> Alcotest.failf "no rows in %s" (Jsons.to_string j)
 
+(* A cold query that keeps the batcher busy: grouping 400k rows (~7 MB
+   of CSV) takes ~0.3 s on a 2-core machine. GROUP BY is neither
+   shareable with the pair below nor eligible for approximation. *)
+let slow_sql = "SELECT col3, COUNT(*) FROM big GROUP BY col3 ORDER BY col3 DESC LIMIT 1"
+
+(* With two worker domains the batcher thread waits out the slow scan in
+   Domain.join, off the runtime lock, so the pair's session threads queue
+   within milliseconds even on a loaded machine. *)
+let busy_config = { Config.default with Config.parallelism = 2 }
+
+let register_big db =
+  let path = Test_util.fresh_path ".csv" in
+  Raw_formats.Csv.write_file ~path ~header:None
+    ~rows:
+      (Seq.init 400_000 (fun i ->
+           List.map string_of_int [ i; i mod 7; i * 37 mod 100; i / 10 ]))
+    ();
+  Raw_db.register_csv db ~name:"big" ~path ~columns:(Test_util.int_cols 4) ()
+
+let counter c k =
+  match Server.Client.stats c with
+  | Ok j -> (
+    match Option.bind (Jsons.member "counters" j) (Jsons.member k) with
+    | Some (Jsons.Float f) -> int_of_float f
+    | Some (Jsons.Int n) -> n
+    | _ -> 0)
+  | Error e -> Alcotest.failf "stats: %s" (Server.Client.err_to_string e)
+
+let rec await_counter c k n =
+  if counter c k < n then begin
+    Thread.delay 0.001;
+    await_counter c k n
+  end
+
+(* Send [slow_sql] on its own session, wait until the batcher has picked
+   it up, then send [a] and [b] on two more sessions. The pair queues
+   while the batcher is busy, so it reaches the next batch together:
+   what a busy server batches is what queued behind the running one.
+   Returns the pair's responses. *)
+let while_batcher_busy ctl socket_path (a, b) =
+  let slow_c = connect_when_ready socket_path in
+  let pair_c = Array.init 2 (fun _ -> connect_when_ready socket_path) in
+  let picked = counter ctl "server.queue.seconds.count" in
+  let requests = counter ctl "server.requests" in
+  let slow_done = Atomic.make false in
+  let ask c sql =
+    match Server.Client.query c sql with
+    | Ok j when Jsons.member "ok" j = Some (Jsons.Bool true) -> j
+    | Ok j -> Alcotest.failf "%s -> %s" sql (Jsons.to_string j)
+    | Error e -> Alcotest.failf "%s: %s" sql (Server.Client.err_to_string e)
+  in
+  let slow =
+    Thread.create
+      (fun () ->
+        ignore (ask slow_c slow_sql);
+        Atomic.set slow_done true)
+      ()
+  in
+  await_counter ctl "server.queue.seconds.count" (picked + 1);
+  let results = Array.make 2 Jsons.Null in
+  let threads =
+    List.mapi
+      (fun i sql ->
+        Thread.create (fun () -> results.(i) <- ask pair_c.(i) sql) ())
+      [ a; b ]
+  in
+  await_counter ctl "server.requests" (requests + 3);
+  Alcotest.(check bool) "the pair queued while the slow scan ran" false
+    (Atomic.get slow_done);
+  List.iter Thread.join (slow :: threads);
+  Server.Client.close slow_c;
+  Array.iter Server.Client.close pair_c;
+  (results.(0), results.(1))
+
+let flag name j =
+  match Jsons.member name j with Some (Jsons.Bool b) -> b | _ -> false
+
 let server_suite =
   [
     Alcotest.test_case "concurrent sessions get correct, cached answers"
@@ -265,7 +342,7 @@ let server_suite =
           ~columns:(Test_util.int_cols 4) ();
         let server =
           Thread.create
-            (fun () -> Server.serve ~batch_window:0.002 ~socket_path db)
+            (fun () -> Server.serve ~socket_path db)
             ()
         in
         let failures = ref [] in
@@ -356,7 +433,7 @@ let server_suite =
         let db = db_over path in
         let server =
           Thread.create
-            (fun () -> Server.serve ~batch_window:0.0 ~socket_path db)
+            (fun () -> Server.serve ~socket_path db)
             ()
         in
         let c = connect_when_ready socket_path in
@@ -378,6 +455,44 @@ let server_suite =
         | Error e -> Alcotest.failf "shutdown: %s" (Server.Client.err_to_string e));
         Server.Client.close c;
         Thread.join server);
+    Alcotest.test_case "queries that queue behind a busy batcher share one \
+                        scan" `Slow (fun () ->
+        let path = Test_util.write_csv_rows (mk_rows 1000) in
+        let socket_path = Test_util.fresh_path ".sock" in
+        let db = Raw_db.create ~config:busy_config () in
+        Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
+        register_big db;
+        let server = Thread.create (fun () -> Server.serve ~socket_path db) () in
+        let ctl = connect_when_ready socket_path in
+        let pair =
+          ( "SELECT COUNT(*) FROM t WHERE col0 < 250",
+            "SELECT SUM(col2) FROM t WHERE col1 = 3" )
+        in
+        let batches = counter ctl "server.batches" in
+        let folded = counter ctl "server.batched_queries" in
+        let ja, jb = while_batcher_busy ctl socket_path pair in
+        List.iter
+          (fun (sql, j) ->
+            Alcotest.(check bool) (sql ^ " shared") true (flag "shared" j);
+            let want =
+              Raw_db.sql (db_over path) sql |> Test_util.rows_of_chunk
+              |> List.map
+                   (List.map (function
+                     | Value.Int n -> n
+                     | v -> Alcotest.failf "non-int %s" (Value.to_string v)))
+            in
+            Alcotest.(check (list (list int))) (sql ^ " one-shot answer")
+              want (int_rows j))
+          [ (fst pair, ja); (snd pair, jb) ];
+        Alcotest.(check int) "one shared traversal" (batches + 1)
+          (counter ctl "server.batches");
+        Alcotest.(check int) "two folded queries" (folded + 2)
+          (counter ctl "server.batched_queries");
+        (match Server.Client.shutdown ctl with
+        | Ok _ -> ()
+        | Error e -> Alcotest.failf "shutdown: %s" (Server.Client.err_to_string e));
+        Server.Client.close ctl;
+        Thread.join server);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -393,7 +508,7 @@ let approx_suite =
         let socket_path = Test_util.fresh_path ".sock" in
         let config =
           {
-            Config.default with
+            busy_config with
             Config.approx = Some 0.1;
             approx_seed = 7;
             chunk_rows = 64;
@@ -401,21 +516,13 @@ let approx_suite =
         in
         let db = Raw_db.create ~config () in
         Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
-        let server =
-          (* a generous batch window so concurrent queries WOULD fold if
-             approx didn't force them apart *)
-          Thread.create
-            (fun () -> Server.serve ~batch_window:0.05 ~socket_path db)
-            ()
-        in
+        register_big db;
+        let server = Thread.create (fun () -> Server.serve ~socket_path db) () in
         let sql = "SELECT COUNT(*), SUM(col2), AVG(col2) FROM t WHERE col0 < 4000" in
         let query c =
           match Server.Client.query c sql with
           | Ok j -> j
           | Error e -> Alcotest.failf "query: %s" (Server.Client.err_to_string e)
-        in
-        let flag name j =
-          match Jsons.member name j with Some (Jsons.Bool b) -> b | _ -> false
         in
         let approx_of j =
           match Jsons.member "approx" j with
@@ -457,28 +564,21 @@ let approx_suite =
             Alcotest.(check bool) "repeat not cache-served" false
               (flag "cached" j2);
             ignore (approx_of j2);
-            (* concurrent same-table queries inside one batch window stay
+            (* a same-table pair queued behind a busy batcher lands in one
+               batch, where exact queries would fold; approx ones stay
                individual runs *)
-            let results = Array.make 2 Jsons.Null in
-            let threads =
-              List.init 2 (fun i ->
-                  Thread.create
-                    (fun () ->
-                      let c2 = connect_when_ready socket_path in
-                      Fun.protect
-                        ~finally:(fun () -> Server.Client.close c2)
-                        (fun () -> results.(i) <- query c2))
-                    ())
-            in
-            List.iter Thread.join threads;
-            Array.iter
+            let batches = counter c "server.batches" in
+            let ja, jb = while_batcher_busy c socket_path (sql, sql) in
+            Alcotest.(check int) "no shared traversal" batches
+              (counter c "server.batches");
+            List.iter
               (fun j ->
                 Alcotest.(check bool) "concurrent query not shared" false
                   (flag "shared" j);
                 Alcotest.(check bool) "concurrent query not cached" false
                   (flag "cached" j);
                 ignore (approx_of j))
-              results;
+              [ ja; jb ];
             match Server.Client.shutdown c with
             | Ok _ -> ()
             | Error e -> Alcotest.failf "shutdown: %s" (Server.Client.err_to_string e));
@@ -553,7 +653,7 @@ let with_telemetry_server ~parallelism f =
   Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
   let server =
     Thread.create
-      (fun () -> Server.serve ~batch_window:0.002 ~socket_path db)
+      (fun () -> Server.serve ~socket_path db)
       ()
   in
   let c = connect_when_ready socket_path in
@@ -655,6 +755,26 @@ let telemetry_suite =
         let e1 = edges_at 1 and e2 = edges_at 2 in
         Alcotest.check edge "p=1 matches the spec" executed_edge_set e1;
         Alcotest.check edge "p=2 identical" e1 e2);
+    Alcotest.test_case "a lone cache hit on an idle server does not wait"
+      `Slow (fun () ->
+        with_telemetry_server ~parallelism:1 (fun c ->
+            let sql = "SELECT SUM(col0) FROM t WHERE col1 = 2" in
+            let hit () =
+              let j = query_ok c sql in
+              match
+                Option.bind (Jsons.member "timing" j) (Jsons.member "queue_s")
+              with
+              | Some (Jsons.Float q) -> (flag "cached" j, q)
+              | _ -> Alcotest.failf "no timing.queue_s in %s" (Jsons.to_string j)
+            in
+            ignore (hit ());
+            let hits = List.init 50 (fun _ -> hit ()) in
+            Alcotest.(check bool) "every repeat is a cache hit" true
+              (List.for_all fst hits);
+            let median = List.nth (List.sort Float.compare (List.map snd hits)) 25 in
+            if median >= 0.001 then
+              Alcotest.failf "median queue wait %.3f ms, want < 1 ms"
+                (median *. 1000.)));
     Alcotest.test_case "metrics op returns Prometheus exposition" `Slow
       (fun () ->
         with_telemetry_server ~parallelism:1 (fun c ->

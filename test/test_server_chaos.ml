@@ -36,13 +36,13 @@ let connect_when_ready socket_path =
   in
   go ()
 
-let start_server ?(config = Config.default) ?(batch_window = 0.002) ~rows () =
+let start_server ?(config = Config.default) ~rows () =
   let path = Test_util.write_csv_rows (mk_rows rows) in
   let socket_path = Test_util.fresh_path ".sock" in
   let db = Raw_db.create ~config () in
   Raw_db.register_csv db ~name:"t" ~path ~columns:(Test_util.int_cols 4) ();
   let thread =
-    Thread.create (fun () -> Server.serve ~batch_window ~socket_path db) ()
+    Thread.create (fun () -> Server.serve ~socket_path db) ()
   in
   (socket_path, path, thread)
 
@@ -628,7 +628,7 @@ let fuzz_suite =
           ( sp,
             path,
             Thread.create
-              (fun () -> Server.serve ~batch_window:0.002 ~socket_path:sp db)
+              (fun () -> Server.serve ~socket_path:sp db)
               () )
         in
         let chaos_c = connect_when_ready socket_path in
