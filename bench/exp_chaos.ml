@@ -249,15 +249,86 @@ let percentile sorted p =
 
 type pass_result = { qps : float; p99_ms : float; wall : float }
 
-let result_of ~phase (wall, latencies) =
+let result_of ~label ~phase (wall, latencies) =
   let nq = sessions * queries_per_client in
   let qps = float_of_int nq /. wall in
   Array.sort compare latencies;
   let p99_ms = 1000. *. percentile latencies 0.99 in
-  Printf.printf
-    "  chaos=%-4s %4d queries in %7.3fs -> %8.1f q/s   p99 %6.2f ms\n%!" phase
-    nq wall qps p99_ms;
+  Printf.printf "  %s=%-4s %4d queries in %7.3fs -> %8.1f q/s   p99 %6.2f ms\n%!"
+    label phase nq wall qps p99_ms;
   { qps; p99_ms; wall }
+
+(* One gate duel: servers under [on_config] and [off_config] race the
+   identical workload through the same wall-clock window, so load spikes
+   hit both sides equally and the throughput ratio self-normalizes.
+   [poll], when given, runs in a loop on a session of the on side
+   throughout (a deliberately attached consumer). Results print as
+   [label]=[phase] with [phases] = (on, off). *)
+let duel ~label ?(phases = ("on", "off")) ~on_config ~off_config ?poll
+    ~note_failure ~t30_sorted ~t120_sorted ~count_below () =
+  let on_srv = start_server ~config:on_config ~phase:(label ^ "_on") in
+  let off_srv = start_server ~config:off_config ~phase:(label ^ "_off") in
+  let stop_poll = Atomic.make false in
+  let poller =
+    Option.map
+      (fun poll ->
+        Thread.create
+          (fun () ->
+            match Server.Client.connect (fst on_srv) with
+            | exception Unix.Unix_error _ -> ()
+            | c ->
+              Fun.protect
+                ~finally:(fun () -> Server.Client.close c)
+                (fun () ->
+                  while not (Atomic.get stop_poll) do
+                    poll c;
+                    Thread.delay 0.2
+                  done))
+          ())
+      poll
+  in
+  let measure (socket_path, _) out =
+    Thread.create
+      (fun () ->
+        out := Some (run_clients ~note_failure ~t30_sorted ~t120_sorted
+                       ~count_below socket_path))
+      ()
+  in
+  let on_out = ref None and off_out = ref None in
+  let t_on = measure on_srv on_out in
+  let t_off = measure off_srv off_out in
+  Thread.join t_on;
+  Thread.join t_off;
+  Atomic.set stop_poll true;
+  Option.iter Thread.join poller;
+  stop_server on_srv;
+  stop_server off_srv;
+  let on_phase, off_phase = phases in
+  ( result_of ~label ~phase:on_phase (Option.get !on_out),
+    result_of ~label ~phase:off_phase (Option.get !off_out) )
+
+(* The gate statistic is the best per-duel on/off ratio: a real cost
+   depresses the on side of EVERY duel, while residual scheduling noise
+   (±3% within a duel) only has to come out even once. Taking best-of per
+   side across duels instead would re-decouple the pairing the duel exists
+   to provide. Below the gate, one re-measure: a stray spike inside a duel
+   should not redden the gate, a real cost will reproduce in the fresh
+   duel. *)
+let best_duel ~duels ~gate_fraction duel =
+  let ratio (on, off) = on.qps /. off.qps in
+  let best = ref (duel ()) in
+  for _ = 2 to duels do
+    let d = duel () in
+    if ratio d > ratio !best then best := d
+  done;
+  if ratio !best < gate_fraction then begin
+    Printf.printf
+      "  best duel ratio %.3f below gate %.2f; re-measuring one duel\n%!"
+      (ratio !best) gate_fraction;
+    let d = duel () in
+    if ratio d > ratio !best then best := d
+  end;
+  !best
 
 let armor_config =
   {
@@ -266,28 +337,6 @@ let armor_config =
     request_timeout = Some 5.;
     idle_timeout = Some 30.;
   }
-
-(* One gate duel: armor-knob and default-knob servers race the identical
-   workload through the same wall-clock window. *)
-let run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below () =
-  let off_srv = start_server ~config:armor_config ~phase:"off" in
-  let ref_srv = start_server ~config:Config.default ~phase:"ref" in
-  let measure socket_path out =
-    Thread.create
-      (fun () ->
-        out := Some (run_clients ~note_failure ~t30_sorted ~t120_sorted
-                       ~count_below socket_path))
-      ()
-  in
-  let off_out = ref None and ref_out = ref None in
-  let t_off = measure (fst off_srv) off_out in
-  let t_ref = measure (fst ref_srv) ref_out in
-  Thread.join t_off;
-  Thread.join t_ref;
-  stop_server off_srv;
-  stop_server ref_srv;
-  ( result_of ~phase:"off*" (Option.get !off_out),
-    result_of ~phase:"ref*" (Option.get !ref_out) )
 
 (* One solo pass against an armor-knob server; [fault = Some f]
    additionally runs [chaos_clients] seeded misbehaving clients for the
@@ -315,7 +364,7 @@ let run_solo ~note_failure ~t30_sorted ~t120_sorted ~count_below ~fault phase =
   Atomic.set stop_chaos true;
   List.iter Thread.join chaos_threads;
   stop_server srv;
-  result_of ~phase out
+  result_of ~label:"chaos" ~phase out
 
 let e26 () =
   Bench_util.header "e26 — serving under chaos"
@@ -341,29 +390,14 @@ let e26 () =
         incr failures;
         if !failures <= 5 then Printf.eprintf "  e26 FAIL: %s\n%!" msg)
   in
-  let duel = run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below in
+  (* armor-knob (on) vs default-knob (reference) servers *)
+  let duel =
+    duel ~label:"chaos" ~phases:("off*", "ref*") ~on_config:armor_config
+      ~off_config:Config.default ~note_failure ~t30_sorted ~t120_sorted
+      ~count_below
+  in
   let solo = run_solo ~note_failure ~t30_sorted ~t120_sorted ~count_below in
-  (* the gate statistic is the best per-duel ratio: a real armor cost
-     depresses the armored side of EVERY duel, while residual scheduling
-     noise (±3% within a duel) only has to come out even once. Taking
-     best-of per side across duels instead would re-decouple the pairing
-     the duel exists to provide. *)
-  let best_duel = ref (duel ()) in
-  let ratio (o, r) = o.qps /. r.qps in
-  for _ = 2 to duels do
-    let d = duel () in
-    if ratio d > ratio !best_duel then best_duel := d
-  done;
-  if ratio !best_duel < gate_fraction then begin
-    (* one re-measure: a stray spike inside a duel should not redden the
-       gate, a real armor cost will reproduce in the fresh duel *)
-    Printf.printf "  best duel ratio %.3f below gate %.2f; re-measuring one \
-                   duel\n%!"
-      (ratio !best_duel) gate_fraction;
-    let d = duel () in
-    if ratio d > ratio !best_duel then best_duel := d
-  end;
-  let off_best, ref_best = !best_duel in
+  let off_best, ref_best = best_duel ~duels ~gate_fraction duel in
   if off_best.qps < gate_fraction *. ref_best.qps then begin
     Printf.eprintf
       "e26: armored throughput %.1f q/s is below %.0f%% of the default-knob \

@@ -31,65 +31,6 @@ let telemetry_on_config =
 let telemetry_off_config =
   { Config.default with Config.telemetry_tick = 0.; trace_retain = 0 }
 
-let result_of ~phase (wall, latencies) =
-  let nq = Exp_chaos.sessions * Exp_chaos.queries_per_client in
-  let qps = float_of_int nq /. wall in
-  Array.sort compare latencies;
-  let p99_ms = 1000. *. Exp_chaos.percentile latencies 0.99 in
-  Printf.printf
-    "  telemetry=%-4s %4d queries in %7.3fs -> %8.1f q/s   p99 %6.2f ms\n%!"
-    phase nq wall qps p99_ms;
-  { Exp_chaos.qps; p99_ms; wall }
-
-(* One duel: telemetry-on and telemetry-off servers race the identical
-   workload through the same wall-clock window, with a live poller
-   hitting the on-side's stats/metrics/trace ops throughout. *)
-let run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below () =
-  let on_srv =
-    Exp_chaos.start_server ~config:telemetry_on_config ~phase:"t_on"
-  in
-  let off_srv =
-    Exp_chaos.start_server ~config:telemetry_off_config ~phase:"t_off"
-  in
-  let stop_poll = Atomic.make false in
-  let poller =
-    Thread.create
-      (fun () ->
-        match Server.Client.connect (fst on_srv) with
-        | exception Unix.Unix_error _ -> ()
-        | c ->
-          Fun.protect
-            ~finally:(fun () -> Server.Client.close c)
-            (fun () ->
-              while not (Atomic.get stop_poll) do
-                ignore (Server.Client.stats c);
-                ignore (Server.Client.metrics c);
-                ignore (Server.Client.trace c);
-                Thread.delay 0.2
-              done))
-      ()
-  in
-  let measure socket_path out =
-    Thread.create
-      (fun () ->
-        out :=
-          Some
-            (Exp_chaos.run_clients ~note_failure ~t30_sorted ~t120_sorted
-               ~count_below socket_path))
-      ()
-  in
-  let on_out = ref None and off_out = ref None in
-  let t_on = measure (fst on_srv) on_out in
-  let t_off = measure (fst off_srv) off_out in
-  Thread.join t_on;
-  Thread.join t_off;
-  Atomic.set stop_poll true;
-  Thread.join poller;
-  Exp_chaos.stop_server on_srv;
-  Exp_chaos.stop_server off_srv;
-  ( result_of ~phase:"on" (Option.get !on_out),
-    result_of ~phase:"off" (Option.get !off_out) )
-
 let e27 () =
   Bench_util.header "e27 — telemetry overhead"
     "telemetry-on (50 ms ticks, tracing, polled stats/metrics/trace) vs \
@@ -107,24 +48,17 @@ let e27 () =
         incr failures;
         if !failures <= 5 then Printf.eprintf "  e27 FAIL: %s\n%!" msg)
   in
-  let duel = run_duel ~note_failure ~t30_sorted ~t120_sorted ~count_below in
-  (* same gate statistic as e26: a real telemetry cost depresses the
-     telemetry side of EVERY duel; scheduling noise only has to come out
-     even once *)
-  let best = ref (duel ()) in
-  let ratio (on, off) = on.Exp_chaos.qps /. off.Exp_chaos.qps in
-  for _ = 2 to duels do
-    let d = duel () in
-    if ratio d > ratio !best then best := d
-  done;
-  if ratio !best < gate_fraction then begin
-    Printf.printf
-      "  best duel ratio %.3f below gate %.2f; re-measuring one duel\n%!"
-      (ratio !best) gate_fraction;
-    let d = duel () in
-    if ratio d > ratio !best then best := d
-  end;
-  let on_best, off_best = !best in
+  (* a live poller on the on side: a deliberately attached [rawq top] *)
+  let duel =
+    Exp_chaos.duel ~label:"telemetry" ~on_config:telemetry_on_config
+      ~off_config:telemetry_off_config
+      ~poll:(fun c ->
+        ignore (Server.Client.stats c);
+        ignore (Server.Client.metrics c);
+        ignore (Server.Client.trace c))
+      ~note_failure ~t30_sorted ~t120_sorted ~count_below
+  in
+  let on_best, off_best = Exp_chaos.best_duel ~duels ~gate_fraction duel in
   if on_best.Exp_chaos.qps < gate_fraction *. off_best.Exp_chaos.qps then begin
     Printf.eprintf
       "e27: telemetry-on throughput %.1f q/s is below %.0f%% of \
@@ -150,7 +84,8 @@ let e27 () =
     off_best.Exp_chaos.qps;
   Bench_util.record_metric ~name:"serve.telemetry_off.p99_ms"
     off_best.Exp_chaos.p99_ms;
-  Bench_util.record_metric ~name:"serve.telemetry.duel_ratio" (ratio !best);
+  Bench_util.record_metric ~name:"serve.telemetry.duel_ratio"
+    (on_best.Exp_chaos.qps /. off_best.Exp_chaos.qps);
   let nq = Exp_chaos.sessions * Exp_chaos.queries_per_client in
   Bench_util.record_raw_sample ~label:"serve telemetry=on"
     ~wall_seconds:on_best.Exp_chaos.wall ~result_rows:nq ();

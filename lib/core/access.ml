@@ -19,15 +19,37 @@ let scan_mode = function
   | Dbms -> Scan_csv.Jit (* loading uses the fast kernels; queries never rescan *)
   | External | In_situ -> Scan_csv.Interpreted
 
-(* Charge the template cache for a generated kernel shape (Jit mode only).
-   [kind] namespaces the cache slot by artifact type (see Template_cache). *)
-let charge_template cat ~mode ~kind key =
-  match mode with
-  | Jit -> Template_cache.get (Catalog.templates cat) ~kind ~key (fun () -> ())
-  | Dbms | External | In_situ -> ()
-
 let parallelism cat = (Catalog.config cat).Config.parallelism
 let policy cat = (Catalog.config cat).Config.on_error
+
+(* Cache key for a generated kernel: the table plus the kernel's shape. The
+   error policy is part of the shape — a Null_fill kernel is different code
+   from a Fail_fast one, so switching --on-error never reuses a stale
+   kernel — and so are a CSV kernel's separator and tracked columns. *)
+let template_key cat ~(entry : Catalog.entry) ~phase ~tracked needed =
+  let ints l = String.concat "," (List.map string_of_int l) in
+  let fmt, shape =
+    match entry.format with
+    | Format_kind.Csv { sep } ->
+      ("csv", Printf.sprintf "sep=%C|tracked=%s|" sep (ints tracked))
+    | Jsonl | Jsonl_array _ -> ("jsonl", "")
+    | Fwb | Ibx -> ("fwb", "")
+    | Hep_events | Hep_particles _ -> ("hep", "")
+  in
+  ( fmt ^ ".jit",
+    Printf.sprintf "%s|%s|%s|%sneeded=%s|err=%s" fmt phase entry.name shape
+      (ints needed)
+      (Scan_errors.policy_to_string (policy cat)) )
+
+(* Charge the template cache for a generated kernel shape (Jit mode only);
+   the kind ("csv.jit", ...) namespaces the slot by artifact type (see
+   Template_cache). *)
+let charge_template cat ~mode ~entry ~phase ?(tracked = []) needed =
+  match mode with
+  | Jit ->
+    let kind, key = template_key cat ~entry ~phase ~tracked needed in
+    Template_cache.get (Catalog.templates cat) ~kind ~key (fun () -> ())
+  | Dbms | External | In_situ -> ()
 
 (* Under the lenient policies a HEP event table's row ids are positions in
    the valid-entry enumeration, not raw entry ids; translate before the
@@ -88,9 +110,7 @@ let full_scan cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
          else "skip")
       [ ("table", entry.name); ("tracked", string_of_int (List.length tracked)) ];
     let tracked = if build_pm then tracked else [] in
-    charge_template cat ~mode ~kind:"csv.jit"
-      (Scan_csv.template_key ~phase:"seq" ~table:entry.name ~sep ~needed:cols
-         ~tracked ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"seq" ~tracked cols;
     let columns, pm =
       Scan_csv.par_scan ~mode:smode ~policy:(policy cat)
         ~parallelism:(parallelism cat) ~file:(Catalog.file cat entry) ~sep
@@ -99,9 +119,7 @@ let full_scan cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
     (match pm with Some pm -> Catalog.set_posmap cat entry pm | None -> ());
     columns
   | Format_kind.Jsonl ->
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"seq" cols;
     let columns, starts =
       Scan_jsonl.seq_scan ~mode:smode ~policy:(policy cat)
         ~file:(Catalog.file cat entry) ~schema:entry.schema ~needed:cols ()
@@ -113,39 +131,29 @@ let full_scan cat ~mode ~(entry : Catalog.entry) ~tracked ~cols =
     end;
     columns
   | Format_kind.Jsonl_array _ ->
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"arr-seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"arr-seq" cols;
     Scan_jsonl.scan_array ~mode:smode ~policy:(policy cat)
       ~file:(Catalog.file cat entry) ~schema:entry.schema
       ~index:(Catalog.jarr_index cat entry) ~needed:cols ~rowids:None ()
   | Format_kind.Fwb ->
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"seq" cols;
     Scan_fwb.par_scan ~mode:smode ~policy:(policy cat)
       ~parallelism:(parallelism cat) ~file:(Catalog.file cat entry)
       ~layout:(Catalog.fwb_layout entry) ~schema:entry.schema ~needed:cols ()
   | Format_kind.Ibx ->
     (* the data region is FWB; its layout comes from the footer *)
     let meta = Catalog.ibx_meta cat entry in
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"ibx-seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
-    Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
-      ~layout:meta.Ibx.layout ~schema:entry.schema ~cols
-      ~rowids:(Array.init meta.Ibx.n_rows (fun i -> i))
+    charge_template cat ~mode ~entry ~phase:"ibx-seq" cols;
+    Scan_fwb.seq_scan ~mode:smode ~rows:(0, meta.Ibx.n_rows)
+      ~file:(Catalog.file cat entry) ~layout:meta.Ibx.layout
+      ~schema:entry.schema ~needed:cols ()
   | Format_kind.Hep_events ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"seq" cols;
     Scan_hep.par_scan_events ~mode:smode ~policy:(policy cat)
       ~parallelism:(parallelism cat) ~reader:(Catalog.hep_reader cat entry)
       ~needed:cols ~rowids:None ()
   | Format_kind.Hep_particles coll ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"seq" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"seq" cols;
     Scan_hep.par_scan_particles ~mode:smode ~parallelism:(parallelism cat)
       ~reader:(Catalog.hep_reader cat entry) ~coll
       ~index:(Catalog.hep_index cat entry) ~needed:cols ~rowids:None
@@ -174,9 +182,8 @@ let raw_fetch cat ~mode ~(entry : Catalog.entry) ~cols ~rowids =
         ("table", entry.name);
         ("tracked", string_of_int (Array.length (Posmap.tracked posmap)));
       ];
-    charge_template cat ~mode ~kind:"csv.jit"
-      (Scan_csv.template_key ~phase:"fetch" ~table:entry.name ~sep ~needed:cols
-         ~tracked:(Array.to_list (Posmap.tracked posmap)) ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"fetch"
+      ~tracked:(Array.to_list (Posmap.tracked posmap)) cols;
     Scan_csv.fetch ~mode:smode ~policy:(policy cat)
       ~file:(Catalog.file cat entry) ~sep ~schema:entry.schema ~posmap ~cols
       ~rowids ()
@@ -186,43 +193,31 @@ let raw_fetch cat ~mode ~(entry : Catalog.entry) ~cols ~rowids =
       | Some s -> s
       | None -> failwith "Access.raw_fetch: JSONL fetch without row index"
     in
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"fetch" cols;
     Scan_jsonl.fetch ~mode:smode ~policy:(policy cat)
       ~file:(Catalog.file cat entry) ~schema:entry.schema ~row_starts ~cols
       ~rowids ()
   | Format_kind.Jsonl_array _ ->
-    charge_template cat ~mode ~kind:"jsonl.jit"
-      (Scan_jsonl.template_key ~phase:"arr-fetch" ~table:entry.name
-         ~needed:cols ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"arr-fetch" cols;
     Scan_jsonl.scan_array ~mode:smode ~policy:(policy cat)
       ~file:(Catalog.file cat entry) ~schema:entry.schema
       ~index:(Catalog.jarr_index cat entry) ~needed:cols ~rowids:(Some rowids)
       ()
   | Format_kind.Fwb ->
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"fetch" cols;
     Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
       ~layout:(Catalog.fwb_layout entry) ~schema:entry.schema ~cols ~rowids
   | Format_kind.Ibx ->
     let meta = Catalog.ibx_meta cat entry in
-    charge_template cat ~mode ~kind:"fwb.jit"
-      (Scan_fwb.template_key ~phase:"ibx-fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"ibx-fetch" cols;
     Scan_fwb.fetch ~mode:smode ~file:(Catalog.file cat entry)
       ~layout:meta.Ibx.layout ~schema:entry.schema ~cols ~rowids
   | Format_kind.Hep_events ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"fetch" cols;
     Scan_hep.scan_events ~mode:smode ~reader:(Catalog.hep_reader cat entry)
       ~needed:cols ~rowids:(Some (hep_entry_rowids cat ~entry rowids)) ()
   | Format_kind.Hep_particles coll ->
-    charge_template cat ~mode ~kind:"hep.jit"
-      (Scan_hep.template_key ~phase:"fetch" ~table:entry.name ~needed:cols
-         ~policy:(policy cat));
+    charge_template cat ~mode ~entry ~phase:"fetch" cols;
     Scan_hep.scan_particles ~mode:smode ~reader:(Catalog.hep_reader cat entry)
       ~coll ~index:(Catalog.hep_index cat entry) ~needed:cols ~rowids:(Some rowids)
 
@@ -427,8 +422,10 @@ let index_range cat ~mode (entry : Catalog.entry) ~col ~lo ~hi =
     let src = (Schema.field entry.schema col).Schema.source_index in
     if src <> meta.Ibx.indexed_field then None
     else begin
-      charge_template cat ~mode ~kind:"ibx.index"
-        (Printf.sprintf "ibx-index|%s|field=%d" entry.name src);
+      if mode = Jit then
+        Template_cache.get (Catalog.templates cat) ~kind:"ibx.index"
+          ~key:(Printf.sprintf "ibx-index|%s|field=%d" entry.name src)
+          (fun () -> ());
       Metrics.add Metrics.ibx_index_nodes
         (Ibx.index_nodes_visited (Catalog.file cat entry) meta ~lo ~hi);
       Some (Ibx.lookup_range (Catalog.file cat entry) meta ~lo ~hi)

@@ -31,9 +31,6 @@ val base_scan : Catalog.t -> Catalog.entry -> Operator.t
     cardinality metadata. Real data reads happen in the scan operators
     attached above by the planner. *)
 
-val ensure_loaded : Catalog.t -> Catalog.entry -> unit
-(** DBMS mode: load every schema column into memory (idempotent). *)
-
 val fetch_columns :
   Catalog.t ->
   mode:mode ->

@@ -142,14 +142,10 @@ val identity : entry -> File_id.t option
     has not been opened (or was invalidated) — nothing cached depends on
     it in that case. *)
 
-val invalidate_path : t -> string -> string list
-(** Unconditionally drop all per-file state (mmap handle, posmap, loaded
-    columns, row counts, structure indexes, identity stamp) of every entry
-    backed by [path], plus those tables' pooled shreds and the shared HEP
-    reader. Returns the affected table names (sorted); tables whose file
-    was never opened are not reported. *)
-
 val refresh_path : t -> string -> string list
 (** Re-stat [path] and, iff its identity changed since it was opened (or
-    it disappeared), {!invalidate_path} it. Returns the invalidated table
-    names ([[]] when the file is unchanged or was never opened). *)
+    it disappeared), drop all per-file state (mmap handle, posmap, loaded
+    columns, row counts, structure indexes, identity stamp) of every entry
+    backed by it, plus those tables' pooled shreds and the shared HEP
+    reader. Returns the invalidated table names, sorted ([[]] when the
+    file is unchanged or was never opened). *)

@@ -7,416 +7,258 @@ type mode = Interpreted | Jit
 
 let mode_to_string = function Interpreted -> "interp" | Jit -> "jit"
 
-(* The error policy is part of the kernel shape: a Null_fill kernel emits
-   different code than a Fail_fast one, so cached templates are keyed by
-   policy — switching --on-error never reuses a stale kernel. *)
-let template_key ~phase ~table ~sep ~needed ~tracked ~policy =
-  Printf.sprintf "csv|%s|%s|sep=%C|needed=%s|tracked=%s|err=%s" phase table sep
-    (String.concat "," (List.map string_of_int needed))
-    (String.concat "," (List.map string_of_int tracked))
-    (Scan_errors.policy_to_string policy)
-
-(* Map schema indexes to (source ordinal, schema index), ascending source. *)
-let by_source schema needed =
-  List.map (fun i -> ((Schema.field schema i).Schema.source_index, i)) needed
-  |> List.sort Stdlib.compare
-
-let builder_for schema i = Builder.create ~capacity:1024 (Schema.dtype schema i)
-
-(* Reorder the built columns (ascending-source order) back to the caller's
-   requested order. *)
-let reorder needed by_src cols =
-  let assoc = List.map2 (fun (_, si) c -> (si, c)) by_src (Array.to_list cols) in
-  Array.of_list (List.map (fun i -> List.assoc i assoc) needed)
-
 (* ------------------------------------------------------------------ *)
-(* Sequential scan                                                     *)
+(* The field program                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let seq_scan_interpreted ?range ~file ~sep ~schema ~needed ~tracked () =
-  let buf = Mmap_file.bytes file in
-  let pos, limit =
-    match range with Some (lo, hi) -> (lo, hi) | None -> (0, Mmap_file.length file)
-  in
-  let cur = Csv.Cursor.create ~sep ~pos ~limit file in
-  let srcs = by_source schema needed in
-  let max_needed_src = List.fold_left (fun a (s, _) -> max a s) (-1) srcs in
-  let max_tracked = List.fold_left max (-1) tracked in
-  let last = max max_needed_src max_tracked in
-  (* general-purpose operator state: per-column lookup tables consulted at
-     runtime for every field — the interpretation overhead under study *)
-  let builder_of_src = Array.make (last + 1) None in
-  List.iter
-    (fun (s, i) -> builder_of_src.(s) <- Some (Schema.dtype schema i, builder_for schema i))
-    srcs;
-  let tracked_mask = Array.make (last + 1) false in
-  List.iter (fun c -> if c <= last then tracked_mask.(c) <- true) tracked;
-  let pm = if tracked = [] then None else Some (Posmap.Build.create ~tracked) in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let tokenized = ref 0 and converted = ref 0 in
-  while not (Csv.Cursor.at_eof cur) do
-    tick ();
-    for col = 0 to last do
-      let track = tracked_mask.(col) in
-      match builder_of_src.(col) with
-      | Some (dt, b) ->
-        let p, l = Csv.Cursor.next_field cur in
-        incr tokenized;
-        if track then
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm;
-        (* per-field data type dispatch against the catalog *)
-        (match dt with
-         | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-         | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-         | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-         | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l));
-        incr converted
-      | None ->
-        if track then begin
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm
-        end
-        else begin
-          Csv.Cursor.skip_field cur;
-          incr tokenized
-        end
-    done;
-    Csv.Cursor.skip_line cur;
-    Option.iter Posmap.Build.end_row pm
-  done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
-  let cols =
-    Array.of_list (List.map (fun (_, i) ->
-        match builder_of_src.((Schema.field schema i).Schema.source_index) with
-        | Some (_, b) -> Builder.to_column b
-        | None -> assert false)
-      srcs)
-  in
-  (reorder needed srcs cols, Option.map Posmap.Build.finish pm)
+(* One query's per-row work over source columns [first..last], as data.
+   A run of untouched fields is one [Skip]; every other column is a
+   [Field]: tokenized, recorded into the positional map when [track]ed,
+   then converted into a builder, validated and discarded (Skip_row's
+   schema-wide row check), or kept only as a position. *)
+type use = Position | Convert of Dtype.t * Builder.t | Validate of Dtype.t
+type step = Skip of int | Field of { col : int; track : bool; use : use }
 
-(* JIT kernel: the per-row work is composed once, outside the loop, as a
-   chain of monomorphic closures — unrolled columns, baked-in conversions,
-   no lookups on the critical path. *)
-let seq_scan_jit ?range ~file ~sep ~schema ~needed ~tracked () =
-  let buf = Mmap_file.bytes file in
-  let pos, limit =
-    match range with Some (lo, hi) -> (lo, hi) | None -> (0, Mmap_file.length file)
-  in
-  let cur = Csv.Cursor.create ~sep ~pos ~limit file in
-  let srcs = by_source schema needed in
-  let max_needed_src = List.fold_left (fun a (s, _) -> max a s) (-1) srcs in
-  let max_tracked = List.fold_left max (-1) tracked in
-  let last = max max_needed_src max_tracked in
-  let pm = if tracked = [] then None else Some (Posmap.Build.create ~tracked) in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
-  let tracked_set = List.sort_uniq Stdlib.compare tracked in
-  (* one action per interesting column; runs of untouched columns fuse into
-     a single skip action *)
-  let actions = ref [] in
-  let emit a = actions := a :: !actions in
-  let fields_per_row = ref 0 in
-  let pending_skip = ref 0 in
-  let flush_skip () =
-    if !pending_skip > 0 then begin
-      let n = !pending_skip in
-      pending_skip := 0;
-      fields_per_row := !fields_per_row + n;
-      if n = 1 then emit (fun () -> Csv.Cursor.skip_field cur)
-      else emit (fun () -> Csv.Cursor.skip_fields cur n)
-    end
-  in
-  let record_fn col =
-    match pm with
-    | Some pm -> Some (fun p l -> Posmap.Build.record pm ~col ~pos:p ~len:l)
-    | None -> None
-  in
-  let parse_action b dt record =
-    (* the data-type conversion is selected here, at "compile" time *)
-    match (dt : Dtype.t), record with
-    | Int, None ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        Builder.add_int b (Csv.parse_int buf p l)
-    | Int, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_int b (Csv.parse_int buf p l)
-    | Float, None ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        Builder.add_float b (Csv.parse_float buf p l)
-    | Float, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_float b (Csv.parse_float buf p l)
-    | Bool, None ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        Builder.add_bool b (Csv.parse_bool buf p l)
-    | Bool, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_bool b (Csv.parse_bool buf p l)
-    | String, None ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        Builder.add_string b (Csv.parse_string buf p l)
-    | String, Some r ->
-      fun () ->
-        let p, l = Csv.Cursor.next_field cur in
-        r p l;
-        Builder.add_string b (Csv.parse_string buf p l)
-  in
-  let record_only_action r = fun () ->
-    let p, l = Csv.Cursor.next_field cur in
-    r p l
-  in
-  let rec build col srcs builders =
-    if col > last then ()
-    else begin
-      let tracked_here = List.mem col tracked_set in
-      match srcs, builders with
-      | (s, i) :: srcs', b :: builders' when s = col ->
-        flush_skip ();
-        incr fields_per_row;
-        emit
-          (parse_action b (Schema.dtype schema i)
-             (if tracked_here then record_fn col else None));
-        build (col + 1) srcs' builders'
-      | _ ->
-        if tracked_here then begin
-          flush_skip ();
-          incr fields_per_row;
-          match record_fn col with
-          | Some r -> emit (record_only_action r)
-          | None -> ()
-        end
-        else incr pending_skip;
-        build (col + 1) srcs builders
-    end
-  in
-  build 0 srcs builders;
-  (* trailing skips are subsumed by skip_line *)
-  pending_skip := 0;
-  (match pm with
-   | Some pm ->
-     emit (fun () ->
-         Csv.Cursor.skip_line cur;
-         Posmap.Build.end_row pm)
-   | None -> emit (fun () -> Csv.Cursor.skip_line cur));
-  (* compose the action list into one closure chain: the "generated" row
-     function *)
-  let rec compose = function
-    | [] -> fun () -> ()
-    | [ f ] -> f
-    | f :: rest ->
-      let g = compose rest in
-      fun () ->
-        f ();
-        g ()
-  in
-  let row_fn = compose (List.rev !actions) in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let n_rows = ref 0 in
-  while not (Csv.Cursor.at_eof cur) do
-    tick ();
-    row_fn ();
-    incr n_rows
-  done;
-  let n_needed = List.length needed in
-  Metrics.add Metrics.csv_fields_tokenized (!n_rows * !fields_per_row);
-  Metrics.add Metrics.csv_values_converted (!n_rows * n_needed);
-  Metrics.add Metrics.scan_values_built (!n_rows * n_needed);
-  let cols = Array.of_list (List.map Builder.to_column builders) in
-  (reorder needed srcs cols, Option.map Posmap.Build.finish pm)
+type program = {
+  policy : Scan_errors.policy;
+  first : int;
+  width : int;  (** fields tokenized per row: [last - first + 1] *)
+  steps : step array;
+  builders : Builder.t list;  (** in [needed] order *)
+}
 
-(* ------------------------------------------------------------------ *)
-(* Policy-aware scan (Skip_row / Null_fill)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* One policy-parametric kernel serves both non-default policies and both
-   planner modes (templates are still cached per mode+policy; the perf
-   split between interpreted and JIT kernels only matters on the clean
-   Fail_fast path, which keeps the specialized kernels above untouched).
-
-   Row identity under Skip_row must not depend on which columns a query
-   happens to read, or positional maps, cached row counts and the shred
-   pool would disagree between queries. So a Skip_row kernel validates
-   every schema column of every row (strings never fail; a missing
-   numeric field parses as empty and fails) and drops the row on the
-   first bad field, rolling back any builder and posmap entries it
-   recorded. Null_fill keeps the physical rows: only requested fields
-   are decoded, and a bad one becomes NULL. *)
-let seq_scan_safe ~policy ?(record = true) ?range ~file ~sep ~schema ~needed
-    ~tracked () =
-  let buf = Mmap_file.bytes file in
-  let pos, limit =
-    match range with Some (lo, hi) -> (lo, hi) | None -> (0, Mmap_file.length file)
-  in
-  let cur = Csv.Cursor.create ~sep ~pos ~limit file in
-  let srcs = by_source schema needed in
-  let skip = policy = Scan_errors.Skip_row in
-  let dtype_of_src =
-    (* schema columns to validate: all of them under Skip_row, only the
-       requested ones under Null_fill *)
-    let want =
-      if skip then List.init (Schema.arity schema) (fun i -> i)
-      else List.map snd srcs
-    in
-    let max_src =
-      List.fold_left
-        (fun a i -> max a (Schema.field schema i).Schema.source_index)
-        (-1) want
-    in
-    let a = Array.make (max_src + 1) None in
-    List.iter
+let program ~policy ~schema ~needed ~tracked ~first =
+  let src i = (Schema.field schema i).Schema.source_index in
+  let conv =
+    List.map
       (fun i ->
-        a.((Schema.field schema i).Schema.source_index) <-
-          Some (Schema.dtype schema i))
-      want;
-    a
+        let dt = Schema.dtype schema i in
+        (src i, (dt, Builder.create ~capacity:1024 dt)))
+      needed
   in
-  let max_tracked = List.fold_left max (-1) tracked in
-  let last = max (Array.length dtype_of_src - 1) max_tracked in
-  let builder_of_src = Array.make (last + 1) None in
-  List.iter (fun (s, i) -> builder_of_src.(s) <- Some (builder_for schema i)) srcs;
-  let builders = List.filter_map (fun (s, _) -> builder_of_src.(s)) srcs in
-  let tracked_mask = Array.make (last + 1) false in
-  List.iter (fun c -> if c <= last then tracked_mask.(c) <- true) tracked;
+  (* Skip_row checks every schema column: row identity must not depend on
+     which columns a query reads, or positional maps, cached row counts and
+     the shred pool would disagree between queries *)
+  let checks =
+    if policy <> Scan_errors.Skip_row then []
+    else List.init (Schema.arity schema) (fun i -> (src i, Schema.dtype schema i))
+  in
+  let last =
+    List.fold_left max (-1) (tracked @ List.map fst conv @ List.map fst checks)
+  in
+  let steps = ref [] and run = ref 0 in
+  let flush () = if !run > 0 then steps := Skip !run :: !steps; run := 0 in
+  let emit s = flush (); steps := s :: !steps in
+  for col = first to last do
+    let track = List.mem col tracked in
+    match List.assoc_opt col conv, List.assoc_opt col checks with
+    | Some (dt, b), _ -> emit (Field { col; track; use = Convert (dt, b) })
+    | None, Some (Dtype.(Int | Float | Bool) as dt) ->
+      emit (Field { col; track; use = Validate dt })
+    | None, _ -> if track then emit (Field { col; track; use = Position }) else incr run
+  done;
+  flush ();
+  {
+    policy;
+    first;
+    width = max 0 (last - first + 1);
+    steps = Array.of_list (List.rev !steps);
+    builders = List.map (fun (_, (_, b)) -> b) conv;
+  }
+
+(* Work counters: a finished row tokenized [width] fields and converted one
+   value per builder; a row dropped at [col] stopped there. *)
+let count p ~rows ~dropped_at =
+  let partial (tok, conv) col =
+    let before = function
+      | Field { col = c; use = Convert _; _ } when c < col -> 1
+      | _ -> 0
+    in
+    ( tok + col - p.first + 1,
+      conv + Array.fold_left (fun n s -> n + before s) 0 p.steps )
+  in
+  let tok, conv = List.fold_left partial (0, 0) dropped_at in
+  let n_conv = rows * List.length p.builders + conv in
+  Metrics.add Metrics.csv_fields_tokenized ((rows * p.width) + tok);
+  Metrics.add Metrics.csv_values_converted n_conv;
+  Metrics.add Metrics.scan_values_built n_conv
+
+(* ------------------------------------------------------------------ *)
+(* Two compilations                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Skip_row's verdict on a row: the source column and cause of the field
+   that sank it. *)
+exception Drop of int * string
+
+(* Interpreted: the data type is dispatched per field. *)
+let decode buf (dt : Dtype.t) b p l =
+  match dt with
+  | Int -> Builder.add_int b (Csv.parse_int buf p l)
+  | Float -> Builder.add_float b (Csv.parse_float buf p l)
+  | Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
+  | String -> Builder.add_string b (Csv.parse_string buf p l)
+
+(* Skip_row's validation, in both modes: a row check, not a hot path. *)
+let check buf (dt : Dtype.t) p l =
+  match dt with
+  | Int -> ignore (Csv.parse_int buf p l)
+  | Float -> ignore (Csv.parse_float buf p l)
+  | Bool -> ignore (Csv.parse_bool buf p l)
+  | String -> ()
+
+(* Jit: the conversion is selected once, when the kernel is composed. *)
+let converter buf (dt : Dtype.t) b : int -> int -> unit =
+  match dt with
+  | Int -> fun p l -> Builder.add_int b (Csv.parse_int buf p l)
+  | Float -> fun p l -> Builder.add_float b (Csv.parse_float buf p l)
+  | Bool -> fun p l -> Builder.add_bool b (Csv.parse_bool buf p l)
+  | String -> fun p l -> Builder.add_string b (Csv.parse_string buf p l)
+
+(* A bad field under the program's policy: Fail_fast lets the typed error
+   escape, Skip_row sinks the row, Null_fill records the field against its
+   row ([locate] runs on this path only) and decodes it to NULL. *)
+let on_error p ~locate col b (e : Scan_errors.sample) =
+  match p.policy, b with
+  | Scan_errors.Skip_row, _ -> raise (Drop (col, e.cause))
+  | Null_fill, Some b ->
+    Scan_errors.record ~offset:(locate ()) ~field:col ~cause:e.cause;
+    Builder.add_null b
+  | _ -> raise (Scan_errors.Error e)
+
+(* The Jit body of a field's [use]: conversion baked in, and a handler only
+   when the policy has one. *)
+let jit_use p ~buf ~locate col use =
+  let guard b f =
+    match p.policy with
+    | Scan_errors.Fail_fast -> f
+    | Skip_row | Null_fill ->
+      fun pos len ->
+        try f pos len with Scan_errors.Error e -> on_error p ~locate col b e
+  in
+  match use with
+  | Position -> None
+  | Convert (dt, b) -> Some (guard (Some b) (converter buf dt b))
+  | Validate dt -> Some (guard None (check buf dt))
+
+let compile ~mode p ~file ~cur ~pm ~locate =
+  let buf = Mmap_file.bytes file in
+  match mode with
+  | Interpreted ->
+    (* walk the program per row: per-step and per-field dispatch, and an
+       error check around every decode *)
+    let run = function
+      | Skip n -> for _ = 1 to n do Csv.Cursor.skip_field cur done
+      | Field { col; track; use } -> (
+        let pos, len = Csv.Cursor.next_field cur in
+        (match pm with
+         | Some pm when track -> Posmap.Build.record pm ~col ~pos ~len
+         | _ -> ());
+        match use with
+        | Position -> ()
+        | Convert (dt, b) -> (
+          try decode buf dt b pos len
+          with Scan_errors.Error e -> on_error p ~locate col (Some b) e)
+        | Validate dt -> (
+          try check buf dt pos len
+          with Scan_errors.Error e -> on_error p ~locate col None e))
+    in
+    fun () -> Array.iter run p.steps
+  | Jit ->
+    (* compose one closure per step into the "generated" row function *)
+    let record col =
+      match pm with
+      | Some pm -> fun pos len -> Posmap.Build.record pm ~col ~pos ~len
+      | None -> fun _ _ -> ()
+    in
+    let step = function
+      | Skip 1 -> fun () -> Csv.Cursor.skip_field cur
+      | Skip n -> fun () -> Csv.Cursor.skip_fields cur n
+      | Field { col; track; use } -> (
+        let r = record col in
+        match track, jit_use p ~buf ~locate col use with
+        | false, Some f ->
+          fun () ->
+            let pos, len = Csv.Cursor.next_field cur in
+            f pos len
+        | true, Some f ->
+          fun () ->
+            let pos, len = Csv.Cursor.next_field cur in
+            r pos len;
+            f pos len
+        | _, None ->
+          fun () ->
+            let pos, len = Csv.Cursor.next_field cur in
+            r pos len)
+    in
+    let rec compose = function
+      | [] -> fun () -> ()
+      | [ f ] -> f
+      | f :: rest ->
+        let g = compose rest in
+        fun () ->
+          f ();
+          g ()
+    in
+    compose (List.map step (Array.to_list p.steps))
+
+(* ------------------------------------------------------------------ *)
+(* Row source 1: a cursor over a byte range                            *)
+(* ------------------------------------------------------------------ *)
+
+let scan ~mode ~policy ~record ?range ~file ~sep ~schema ~needed ~tracked () =
+  let lo, hi =
+    match range with Some r -> r | None -> (0, Mmap_file.length file)
+  in
+  let cur = Csv.Cursor.create ~sep ~pos:lo ~limit:hi file in
+  let p = program ~policy ~schema ~needed ~tracked ~first:0 in
   let pm = if tracked = [] then None else Some (Posmap.Build.create ~tracked) in
-  let tokenized = ref 0 and converted = ref 0 in
-  let n_rows = ref 0 and skipped = ref 0 in
-  let cur_col = ref 0 in
-  let row_start = ref pos in
-  let field_error col cause =
-    if record then
-      Scan_errors.record ~offset:!row_start ~field:col ~cause
-  in
-  (* the row body; under Skip_row a parse error escapes to the row loop *)
-  let do_row () =
-    for col = 0 to last do
-      cur_col := col;
-      let track = tracked_mask.(col) in
-      let dt = if col < Array.length dtype_of_src then dtype_of_src.(col) else None in
-      match dt with
-      | Some dt ->
-        let p, l = Csv.Cursor.next_field cur in
-        incr tokenized;
-        if track then
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm;
-        (match builder_of_src.(col) with
-         | Some b ->
-           (if skip then (
-              match dt with
-              | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-              | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-              | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-              | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l))
-            else
-              match
-                match dt with
-                | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-                | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-                | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-                | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l)
-              with
-              | () -> ()
-              | exception Scan_errors.Error e ->
-                field_error col e.Scan_errors.cause;
-                Builder.add_null b);
-           incr converted
-         | None ->
-           (* validation-only column (Skip_row): decode and discard *)
-           if skip then (
-             match dt with
-             | Dtype.Int -> ignore (Csv.parse_int buf p l)
-             | Dtype.Float -> ignore (Csv.parse_float buf p l)
-             | Dtype.Bool -> ignore (Csv.parse_bool buf p l)
-             | Dtype.String -> ()))
-      | None ->
-        if track then begin
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          Option.iter (fun pm -> Posmap.Build.record pm ~col ~pos:p ~len:l) pm
-        end
-        else begin
-          Csv.Cursor.skip_field cur;
-          incr tokenized
-        end
-    done
-  in
+  let row_start = ref lo in
+  let row = compile ~mode p ~file ~cur ~pm ~locate:(fun () -> !row_start) in
   let tick = Cancel.batch_checker (Cancel.current ()) in
+  let rows = ref 0 and dropped_at = ref [] in
   while not (Csv.Cursor.at_eof cur) do
     tick ();
     row_start := Csv.Cursor.pos cur;
-    match do_row () with
-    | () ->
-      Csv.Cursor.skip_line cur;
-      Option.iter Posmap.Build.end_row pm;
-      incr n_rows
-    | exception Scan_errors.Error e ->
-      (* Skip_row: drop the whole row, roll back whatever it recorded *)
-      field_error !cur_col e.Scan_errors.cause;
-      List.iter (fun b -> Builder.truncate b !n_rows) builders;
-      Option.iter Posmap.Build.abort_row pm;
-      Csv.Cursor.skip_line cur;
-      incr skipped
+    (match row () with
+     | () ->
+       Option.iter Posmap.Build.end_row pm;
+       incr rows
+     | exception Drop (col, cause) ->
+       (* drop the whole row, rolling back whatever it recorded *)
+       if record then Scan_errors.record ~offset:!row_start ~field:col ~cause;
+       List.iter (fun b -> Builder.truncate b !rows) p.builders;
+       Option.iter Posmap.Build.abort_row pm;
+       dropped_at := col :: !dropped_at);
+    Csv.Cursor.skip_line cur
   done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
-  if !skipped > 0 then Metrics.add Metrics.scan_rows_skipped !skipped;
-  let cols =
-    Array.of_list
-      (List.map
-         (fun (s, _) ->
-           match builder_of_src.(s) with
-           | Some b -> Builder.to_column b
-           | None -> assert false)
-         srcs)
-  in
-  (reorder needed srcs cols, Option.map Posmap.Build.finish pm, !n_rows)
+  count p ~rows:!rows ~dropped_at:!dropped_at;
+  if !dropped_at <> [] then
+    Metrics.add Metrics.scan_rows_skipped (List.length !dropped_at);
+  ( Array.of_list (List.map Builder.to_column p.builders),
+    Option.map Posmap.Build.finish pm,
+    !rows )
 
-(* How many rows a Skip_row scan of this file yields — the same
-   validation the safe kernel applies, without recording errors (the
-   catalog sizes a table once; the passes that produce data do the
-   reporting). *)
+let seq_scan ~mode ?(policy = Scan_errors.Fail_fast) ?range ~file ~sep ~schema
+    ~needed ~tracked () =
+  let cols, pm, _ =
+    scan ~mode ~policy ~record:true ?range ~file ~sep ~schema ~needed ~tracked ()
+  in
+  (cols, pm)
+
+(* The catalog sizes a table once; the passes that produce data do the
+   reporting, so this one records only on request. *)
 let count_valid_rows ~file ~sep ~schema ?(record = false) () =
   let _, _, n =
-    seq_scan_safe ~policy:Scan_errors.Skip_row ~record ~file ~sep ~schema
+    scan ~mode:Jit ~policy:Scan_errors.Skip_row ~record ~file ~sep ~schema
       ~needed:[] ~tracked:[] ()
   in
   n
 
-let seq_scan ~mode ?(policy = Scan_errors.Fail_fast) ?range ~file ~sep ~schema
-    ~needed ~tracked () =
-  match policy with
-  | Scan_errors.Fail_fast -> (
-    match mode with
-    | Interpreted ->
-      seq_scan_interpreted ?range ~file ~sep ~schema ~needed ~tracked ()
-    | Jit -> seq_scan_jit ?range ~file ~sep ~schema ~needed ~tracked ())
-  | _ ->
-    let cols, pm, _ =
-      seq_scan_safe ~policy ?range ~file ~sep ~schema ~needed ~tracked ()
-    in
-    (cols, pm)
-
-(* ------------------------------------------------------------------ *)
-(* Morsel-driven parallel scan                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* Each worker domain runs the sequential kernel over one row-aligned byte
+(* Each worker domain runs the sequential scan over one row-aligned byte
    range against a private Mmap_file view; the coordinator concatenates
    column segments in morsel order, stitches posmap segments (positions are
-   absolute, so no shifting), and absorbs per-view page counters. Output is
-   bit-identical to the sequential scan at any parallelism. *)
+   absolute, so no shifting), and absorbs per-view page counters. *)
 let par_scan ~mode ?(policy = Scan_errors.Fail_fast) ~parallelism ~file ~sep
     ~schema ~needed ~tracked () =
   let ranges =
@@ -452,233 +294,66 @@ let par_scan ~mode ?(policy = Scan_errors.Fail_fast) ~parallelism ~file ~sep
     (columns, pm)
 
 (* ------------------------------------------------------------------ *)
-(* Positional fetch                                                    *)
+(* Row source 2: a positional-map seek plus a start column             *)
 (* ------------------------------------------------------------------ *)
 
 let first_source schema cols =
-  match by_source schema cols with
-  | (s, _) :: _ -> s
+  match List.map (fun i -> (Schema.field schema i).Schema.source_index) cols with
   | [] -> invalid_arg "Scan_csv.fetch: no columns"
+  | s :: rest -> List.fold_left min s rest
 
 let can_fetch ~schema ~posmap ~cols =
-  match cols with
-  | [] -> false
-  | _ ->
-    Option.is_some (Posmap.nearest_at_or_before posmap (first_source schema cols))
+  cols <> []
+  && Option.is_some
+       (Posmap.nearest_at_or_before posmap (first_source schema cols))
 
-let fetch_interpreted ~file ~sep ~schema ~posmap ~cols ~rowids =
-  let buf = Mmap_file.bytes file in
-  let cur = Csv.Cursor.create ~sep file in
-  let srcs = by_source schema cols in
-  let first = first_source schema cols in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let tokenized = ref 0 and converted = ref 0 in
-  let n = Array.length rowids in
-  for k = 0 to n - 1 do
-    tick ();
-    let r = rowids.(k) in
-    (* runtime decisions, per value: consult the positional map, find the
-       navigation strategy, dispatch on the data type *)
-    match Posmap.nearest_at_or_before posmap first with
-    | None -> failwith "Scan_csv.fetch: positional map cannot reach column"
-    | Some (tcol, positions) ->
-      Csv.Cursor.seek cur positions.(r);
-      let at = ref tcol in
-      List.iter2
-        (fun (s, i) b ->
-          while !at < s do
-            Csv.Cursor.skip_field cur;
-            incr tokenized;
-            incr at
-          done;
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          incr at;
-          (match Schema.dtype schema i with
-           | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-           | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-           | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-           | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l));
-          incr converted)
-        srcs builders
-  done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
-  reorder cols srcs (Array.of_list (List.map Builder.to_column builders))
-
-let fetch_jit ~file ~sep ~schema ~posmap ~cols ~rowids =
-  let buf = Mmap_file.bytes file in
-  let cur = Csv.Cursor.create ~sep file in
-  let srcs = by_source schema cols in
-  let first = first_source schema cols in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
-  let tcol, positions =
-    match Posmap.nearest_at_or_before posmap first with
-    | Some x -> x
-    | None -> failwith "Scan_csv.fetch: positional map cannot reach column"
-  in
-  let lens = if tcol = first then Posmap.lengths posmap tcol else None in
-  (* compile a per-row fetch closure: gaps and conversions baked in *)
-  let fields_per_row = ref 0 in
-  let steps =
-    let rec go at srcs builders acc =
-      match srcs, builders with
-      | [], [] -> List.rev acc
-      | (s, i) :: srcs', b :: builders' ->
-        let gap = s - at in
-        fields_per_row := !fields_per_row + gap + 1;
-        let parse =
-          match Schema.dtype schema i with
-          | Dtype.Int ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_int b (Csv.parse_int buf p l)
-          | Dtype.Float ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_float b (Csv.parse_float buf p l)
-          | Dtype.Bool ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_bool b (Csv.parse_bool buf p l)
-          | Dtype.String ->
-            fun () ->
-              let p, l = Csv.Cursor.next_field cur in
-              Builder.add_string b (Csv.parse_string buf p l)
-        in
-        let step =
-          if gap = 0 then parse
-          else
-            fun () ->
-              Csv.Cursor.skip_fields cur gap;
-              parse ()
-        in
-        go (s + 1) srcs' builders' (step :: acc)
-      | _ -> assert false
-    in
-    go tcol srcs builders []
-  in
-  let rec compose = function
-    | [] -> fun () -> ()
-    | [ f ] -> f
-    | f :: rest ->
-      let g = compose rest in
-      fun () ->
-        f ();
-        g ()
-  in
-  let row_fn = compose steps in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let n = Array.length rowids in
-  (* fully-direct path: a single tracked column with recorded lengths needs
-     no tokenizing at all — the paper's "custom atoi" case *)
-  (match lens, srcs, builders with
-   | Some lens, [ (_, i) ], [ b ] when tcol = first ->
-     (match Schema.dtype schema i with
-      | Dtype.Int ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_int b (Csv.parse_int buf p lens.(r))
-        done
-      | Dtype.Float ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_float b (Csv.parse_float buf p lens.(r))
-        done
-      | Dtype.Bool ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_bool b (Csv.parse_bool buf p lens.(r))
-        done
-      | Dtype.String ->
-        for k = 0 to n - 1 do
-          tick ();
-          let r = rowids.(k) in
-          let p = positions.(r) in
-          Mmap_file.touch file p lens.(r);
-          Builder.add_string b (Csv.parse_string buf p lens.(r))
-        done);
-     Metrics.add Metrics.csv_fields_tokenized n
-   | _ ->
-     for k = 0 to n - 1 do
-       tick ();
-       Csv.Cursor.seek cur positions.(rowids.(k));
-       row_fn ()
-     done;
-     Metrics.add Metrics.csv_fields_tokenized (n * !fields_per_row));
-  let n_cols = List.length cols in
-  Metrics.add Metrics.csv_values_converted (n * n_cols);
-  Metrics.add Metrics.scan_values_built (n * n_cols);
-  reorder cols srcs (Array.of_list (List.map Builder.to_column builders))
-
-(* Null_fill fetch: rows are physical, so a fetched field can still be
-   malformed — decode defensively, NULL and record on failure. Skip_row
-   needs no safe variant: its row ids only ever name rows the scan already
-   validated against the whole schema, so the fast kernels cannot fail. *)
-let fetch_safe ~file ~sep ~schema ~posmap ~cols ~rowids =
-  let buf = Mmap_file.bytes file in
-  let cur = Csv.Cursor.create ~sep file in
-  let srcs = by_source schema cols in
-  let first = first_source schema cols in
-  let builders = List.map (fun (_, i) -> builder_for schema i) srcs in
-  let tick = Cancel.batch_checker (Cancel.current ()) in
-  let tokenized = ref 0 and converted = ref 0 in
-  let n = Array.length rowids in
-  for k = 0 to n - 1 do
-    tick ();
-    let r = rowids.(k) in
-    match Posmap.nearest_at_or_before posmap first with
-    | None -> failwith "Scan_csv.fetch: positional map cannot reach column"
-    | Some (tcol, positions) ->
-      let row_pos = positions.(r) in
-      Csv.Cursor.seek cur row_pos;
-      let at = ref tcol in
-      List.iter2
-        (fun (s, i) b ->
-          while !at < s do
-            Csv.Cursor.skip_field cur;
-            incr tokenized;
-            incr at
-          done;
-          let p, l = Csv.Cursor.next_field cur in
-          incr tokenized;
-          incr at;
-          (match
-             match Schema.dtype schema i with
-             | Dtype.Int -> Builder.add_int b (Csv.parse_int buf p l)
-             | Dtype.Float -> Builder.add_float b (Csv.parse_float buf p l)
-             | Dtype.Bool -> Builder.add_bool b (Csv.parse_bool buf p l)
-             | Dtype.String -> Builder.add_string b (Csv.parse_string buf p l)
-           with
-           | () -> ()
-           | exception Scan_errors.Error e ->
-             Scan_errors.record ~offset:row_pos ~field:s
-               ~cause:e.Scan_errors.cause;
-             Builder.add_null b);
-          incr converted)
-        srcs builders
-  done;
-  Metrics.add Metrics.csv_fields_tokenized !tokenized;
-  Metrics.add Metrics.csv_values_converted !converted;
-  Metrics.add Metrics.scan_values_built !converted;
-  reorder cols srcs (Array.of_list (List.map Builder.to_column builders))
+(* Byte offset of the row holding [pos]: rows are newline-delimited and no
+   field spans a newline. *)
+let line_start buf pos =
+  let i = ref pos in
+  while !i > 0 && Bytes.get buf (!i - 1) <> '\n' do decr i done;
+  !i
 
 let fetch ~mode ?(policy = Scan_errors.Fail_fast) ~file ~sep ~schema ~posmap
     ~cols ~rowids () =
-  match policy with
-  | Scan_errors.Null_fill -> fetch_safe ~file ~sep ~schema ~posmap ~cols ~rowids
-  | Scan_errors.Fail_fast | Scan_errors.Skip_row -> (
-    match mode with
-    | Interpreted -> fetch_interpreted ~file ~sep ~schema ~posmap ~cols ~rowids
-    | Jit -> fetch_jit ~file ~sep ~schema ~posmap ~cols ~rowids)
+  let tcol, positions =
+    match Posmap.nearest_at_or_before posmap (first_source schema cols) with
+    | Some x -> x
+    | None -> failwith "Scan_csv.fetch: positional map cannot reach column"
+  in
+  (* Skip_row row ids only name rows its scan validated schema-wide, so
+     they fetch like Fail_fast *)
+  let policy =
+    if policy = Scan_errors.Null_fill then policy else Scan_errors.Fail_fast
+  in
+  let p = program ~policy ~schema ~needed:cols ~tracked:[] ~first:tcol in
+  let r = ref 0 in
+  let locate () =
+    if Posmap.is_tracked posmap 0 then Posmap.position posmap ~row:!r ~col:0
+    else line_start (Mmap_file.bytes file) positions.(!r)
+  in
+  let tick = Cancel.batch_checker (Cancel.current ()) in
+  let n = Array.length rowids in
+  (match mode, p.steps, Posmap.lengths posmap tcol with
+   | Jit, [| Field { col; use; _ } |], Some lens ->
+     (* a single tracked column with recorded lengths needs no tokenizing
+        at all — the paper's "custom atoi" case *)
+     let f = Option.get (jit_use p ~buf:(Mmap_file.bytes file) ~locate col use) in
+     for k = 0 to n - 1 do
+       tick ();
+       r := rowids.(k);
+       let pos = positions.(!r) and len = lens.(!r) in
+       Mmap_file.touch file pos len;
+       f pos len
+     done
+   | _ ->
+     let cur = Csv.Cursor.create ~sep file in
+     let row = compile ~mode p ~file ~cur ~pm:None ~locate in
+     for k = 0 to n - 1 do
+       tick ();
+       r := rowids.(k);
+       Csv.Cursor.seek cur positions.(!r);
+       row ()
+     done);
+  count p ~rows:n ~dropped_at:[];
+  Array.of_list (List.map Builder.to_column p.builders)

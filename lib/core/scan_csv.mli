@@ -1,19 +1,27 @@
 (** CSV scan kernels: the general-purpose (in-situ) and JIT access paths
-    (paper §4.1).
+    (paper §4.1), written once.
 
-    Both kinds do the same logical work; they differ in where decisions
-    live:
+    Each query builds one {e field program} from its schema, requested
+    columns, tracked columns and error policy: per row, a list of steps
+    over source columns — skip a run of fields, record a field into the
+    positional map, convert it into a column builder, or (under
+    [Skip_row]) validate it and discard it. The program is then compiled
+    once by [mode]:
 
-    - {b Interpreted} kernels are the NoDB-style general-purpose operator:
-      one loop over source columns per row, with per-column runtime checks
-      ("is this column tracked by the positional map?", "is it requested?")
-      and a per-field data-type dispatch against the schema — the branches
+    - {b Interpreted} walks the program at run time: a dispatch per step,
+      a data-type dispatch per field and an error check around every
+      decode — the NoDB-style general-purpose operator and the branches
       the paper blames for in-situ overhead.
-    - {b Jit} kernels are composed at query time from monomorphic per-field
-      closures: the column loop is unrolled, the data-type conversion is
-      baked in, and tracked-position recording appears only where a tracked
-      column actually sits. This is the closure-specialization analogue of
-      the paper's generated C++ (see DESIGN.md §1).
+    - {b Jit} composes one monomorphic closure per step: skip runs fused,
+      conversions baked in, position recording only where a tracked
+      column sits. This is the closure-specialization analogue of the
+      paper's generated C++ (see DESIGN.md §1).
+
+    The policy is compiled in too: [Fail_fast] kernels carry no handler,
+    [Null_fill] ones a per-field handler, [Skip_row] ones a row drop. A
+    sequential scan and a positional fetch run the same program and differ
+    only in their row source: a cursor over a byte range, or a
+    positional-map seek plus a start column.
 
     Kernels report work through {!Raw_storage.Io_stats} counters
     [csv.fields_tokenized], [csv.values_converted], [scan.values_built]. *)
@@ -45,14 +53,13 @@ val seq_scan :
     recorded positions stay absolute.
 
     [policy] (default [Fail_fast]) selects the error handling. [Fail_fast]
-    runs the unmodified fast kernels and lets the typed
-    {!Raw_storage.Scan_errors.Error} propagate on the first malformed
-    field. The other policies run a policy-parametric kernel (shared by
-    both modes): [Skip_row] validates {e every} schema column per row —
+    lets the typed {!Raw_storage.Scan_errors.Error} propagate on the first
+    malformed field. [Skip_row] validates {e every} schema column per row —
     row identity must not depend on the queried columns — and drops bad
-    rows, rolling their builder and posmap entries back; [Null_fill]
-    keeps every physical row and decodes bad requested fields to NULL.
-    Both record into {!Raw_storage.Scan_errors}. *)
+    rows, rolling their builder and posmap entries back; [Null_fill] keeps
+    every physical row and decodes bad requested fields to NULL. Both
+    record into {!Raw_storage.Scan_errors}, at the byte offset of the
+    row. *)
 
 val count_valid_rows :
   file:Mmap_file.t ->
@@ -61,10 +68,10 @@ val count_valid_rows :
   ?record:bool ->
   unit ->
   int
-(** How many rows a [Skip_row] scan of this file yields — the exact
-    acceptance logic of the safe kernel, so cached row counts, positional
-    maps and scan results always agree. [record] (default [false]) says
-    whether the pass also records the errors it encounters. *)
+(** How many rows a [Skip_row] scan of this file yields: it runs the same
+    field program, so cached row counts, positional maps and scan results
+    always agree. [record] (default [false]) says whether the pass also
+    records the errors it encounters. *)
 
 val par_scan :
   mode:mode ->
@@ -105,17 +112,11 @@ val fetch :
     (multi-column shreds, §5.3.1). Raises [Failure] if the positional map
     tracks nothing at or before the first column.
 
-    Under [Null_fill] a defensive variant decodes bad fields to NULL and
-    records them. [Skip_row] uses the fast kernels unchanged: its row ids
-    only name rows the scan already validated schema-wide. *)
+    Under [Null_fill] bad fields decode to NULL and are recorded at the
+    byte offset of their row, as {!seq_scan} records them. [Skip_row]
+    fetches like [Fail_fast]: its row ids only name rows the scan already
+    validated schema-wide. *)
 
 val can_fetch : schema:Schema.t -> posmap:Posmap.t -> cols:int list -> bool
 (** Whether {!fetch} would succeed (some tracked column at or before the
     first requested column's source ordinal). [cols] are schema indexes. *)
-
-val template_key :
-  phase:string -> table:string -> sep:char -> needed:int list ->
-  tracked:int list -> policy:Scan_errors.policy -> string
-(** Cache key for a generated kernel: file identity + kernel shape
-    (including the error policy — a [Null_fill] kernel is different code
-    from a [Fail_fast] one). *)

@@ -1,15 +1,17 @@
 (** Fixed-width binary scan kernels (paper §4.1-4.2).
 
     For this format the location of every data element is known in advance,
-    so no positional map exists in either kernel. The difference under
-    study:
+    so no positional map exists. One column reader serves every access; a
+    scan and a fetch differ only in the row source it walks — a contiguous
+    row range or explicit row ids (an IBX full scan is the range
+    [[0, n_rows)]). The reader is compiled by mode:
 
     - {b Interpreted}: row-major loop; for every value, the field offset is
       obtained through the layout at runtime and the read is dispatched on
       the data type — the general-purpose operator.
-    - {b Jit}: the paper's "inject the binary offsets into the code":
-      per-column closures with base offset and stride baked in, each a
-      monomorphic tight loop. *)
+    - {b Jit}: the paper's "inject the binary offsets into the code": per
+      column, base offset and stride baked into one monomorphic tight
+      loop. *)
 
 open Raw_vector
 open Raw_storage
@@ -44,7 +46,8 @@ val par_scan :
   needed:int list ->
   unit ->
   Column.t array
-(** Morsel-driven parallel scan over {!Raw_formats.Fwb.row_ranges} morsels;
+(** Morsel-driven parallel scan: {!Morsel.split_range} cuts the row range
+    into contiguous morsels, one {!seq_scan} per morsel on its own domain;
     bit-identical to {!seq_scan} at any [parallelism]. *)
 
 val fetch :
@@ -56,7 +59,3 @@ val fetch :
   rowids:int array ->
   Column.t array
 (** Point reads at computed offsets for the given row ids. *)
-
-val template_key :
-  phase:string -> table:string -> needed:int list ->
-  policy:Scan_errors.policy -> string

@@ -67,7 +67,3 @@ val par_scan_particles :
   Column.t array
 (** Morsel-driven parallel {!scan_particles} over dense particle row-id
     slices; bit-identical to the sequential scan. *)
-
-val template_key :
-  phase:string -> table:string -> needed:int list ->
-  policy:Scan_errors.policy -> string

@@ -3,14 +3,13 @@ open Raw_storage
 open Raw_formats
 module Metrics = Raw_obs.Metrics
 
-let template_key ~phase ~table ~needed ~policy =
-  Printf.sprintf "jsonl|%s|%s|needed=%s|err=%s" phase table
-    (String.concat "," (List.map string_of_int needed))
-    (Scan_errors.policy_to_string policy)
-
 let path_of schema i = String.split_on_char '.' (Schema.name schema i)
 
-let type_clash what s =
+(* One cause per column type, whichever kernel meets the clash. *)
+let type_clash (dt : Dtype.t) s =
+  let what =
+    match dt with Int -> "Int" | Float -> "Float" | Bool -> "Bool" | String -> "String"
+  in
   Scan_errors.fail ~offset:s ~field:(-1)
     ~cause:("json: string value in " ^ what ^ " column")
 
@@ -48,19 +47,19 @@ let jit_emitters ~policy buf schema needed builders =
                match kind with
                | Scalar -> Builder.add_int b (Csv.parse_int buf s l)
                | Nul -> Builder.add_null b
-               | Quoted _ -> type_clash "Int" s)
+               | Quoted _ -> type_clash Dtype.Int s)
          | Dtype.Float -> (
              fun kind s l ->
                match kind with
                | Scalar -> Builder.add_float b (Csv.parse_float buf s l)
                | Nul -> Builder.add_null b
-               | Quoted _ -> type_clash "Float" s)
+               | Quoted _ -> type_clash Dtype.Float s)
          | Dtype.Bool -> (
              fun kind s l ->
                match kind with
                | Scalar -> Builder.add_bool b (Csv.parse_bool buf s l)
                | Nul -> Builder.add_null b
-               | Quoted _ -> type_clash "Bool" s)
+               | Quoted _ -> type_clash Dtype.Bool s)
          | Dtype.String -> (
              fun kind s l ->
                match kind with
@@ -85,7 +84,7 @@ let interp_emit ~policy buf schema needed builders =
     | Dtype.String, Quoted false -> Builder.add_string b (sub_copy buf s l)
     | Dtype.String, Quoted true -> Builder.add_string b (Jsonl.unescape buf s l)
     | Dtype.String, Scalar -> Builder.add_string b (sub_copy buf s l)
-    | _, Quoted _ -> type_clash "non-string" s
+    | dt, Quoted _ -> type_clash dt s
   in
   match (policy : Scan_errors.policy) with
   | Fail_fast | Skip_row -> emit

@@ -56,10 +56,6 @@ val fetch :
     recorded; [Skip_row] row ids only ever name rows the scan validated, so
     both other policies use the unmodified fast path. *)
 
-val template_key :
-  phase:string -> table:string -> needed:int list ->
-  policy:Scan_errors.policy -> string
-
 (** {1 Flattened child tables over JSON arrays}
 
     A path to an array of objects becomes a relational child table: one row

@@ -64,4 +64,3 @@ val rows_seen : t -> int
 val fraction_rows : t -> float
 (** Rows observed / total rows (1 for an empty file). *)
 
-val fraction_morsels : t -> float

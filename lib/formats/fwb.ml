@@ -51,25 +51,6 @@ let n_rows l file =
     len / l.row_size
   end
 
-(* Morsel boundary finder: FWB rows are fixed-width, so row-aligned morsels
-   are pure arithmetic — at most [n] contiguous, non-empty [(lo, hi)] row
-   ranges partitioning [0, n_rows). *)
-let row_ranges l file ~n =
-  let rows = n_rows l file in
-  if rows = 0 then []
-  else if n <= 1 then [ (0, rows) ]
-  else begin
-    let per = (rows + n - 1) / n in
-    let rec go lo acc =
-      if lo >= rows then List.rev acc
-      else begin
-        let hi = min (lo + per) rows in
-        go hi ((lo, hi) :: acc)
-      end
-    in
-    go 0 []
-  end
-
 let read_int file pos =
   Mmap_file.touch file pos 8;
   Int64.to_int (Bytes.get_int64_le (Mmap_file.bytes file) pos)

@@ -19,7 +19,6 @@ val layout : Dtype.t array -> layout
 val row_size : layout -> int
 val field_offset : layout -> int -> int
 val dtypes : layout -> Dtype.t array
-val n_fields : layout -> int
 
 val offset_of : layout -> row:int -> field:int -> int
 (** The paper's formula: [row * row_size + field_offset]. *)
@@ -36,11 +35,6 @@ val n_rows_floor : layout -> Mmap_file.t -> int
 
 val trailing_bytes : layout -> Mmap_file.t -> int
 (** [file_length mod row_size] — nonzero iff the file is ragged. *)
-
-val row_ranges : layout -> Mmap_file.t -> n:int -> (int * int) list
-(** Morsel boundary finder: at most [n] contiguous, non-empty [(lo, hi)] row
-    ranges partitioning [[0, n_rows)] — pure arithmetic, rows are fixed
-    width. The empty file yields [[]]. *)
 
 (** {1 Reading}
 

@@ -66,7 +66,6 @@ val set : t -> int -> Value.t -> unit
 val invalidate_all : t -> t
 (** Returns a column sharing the data but with a fresh all-invalid bitmap. *)
 
-val to_values : t -> Value.t list
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 

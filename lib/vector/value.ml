@@ -53,18 +53,6 @@ let as_int = function
   | Int i -> i
   | v -> invalid_arg ("Value.as_int: " ^ to_string v)
 
-let as_float = function
-  | Float f -> f
-  | v -> invalid_arg ("Value.as_float: " ^ to_string v)
-
-let as_bool = function
-  | Bool b -> b
-  | v -> invalid_arg ("Value.as_bool: " ^ to_string v)
-
-let as_string = function
-  | String s -> s
-  | v -> invalid_arg ("Value.as_string: " ^ to_string v)
-
 let to_float = function
   | Int i -> float_of_int i
   | Float f -> f

@@ -26,12 +26,9 @@ val is_null : t -> bool
 val to_string : t -> string
 val pp : Format.formatter -> t -> unit
 
-(** Checked accessors; raise [Invalid_argument] on type mismatch. *)
+(** Checked accessor; raises [Invalid_argument] on type mismatch. *)
 
 val as_int : t -> int
-val as_float : t -> float
-val as_bool : t -> bool
-val as_string : t -> string
 
 val to_float : t -> float
 (** Numeric coercion: [Int] and [Float] both convert; others raise. *)

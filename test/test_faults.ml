@@ -24,9 +24,11 @@ open Test_util
 
 let corpus name = Filename.concat "corpus" name
 
-let db_with ?(policy = Scan_errors.Fail_fast) ?(parallelism = 1) register =
+let db_with ?(policy = Scan_errors.Fail_fast) ?(parallelism = 1)
+    ?(access = Access.Jit) register =
   let config = { Config.default with Config.parallelism; on_error = policy } in
-  let db = Raw_db.create ~config () in
+  let options = { Planner.default with Planner.access } in
+  let db = Raw_db.create ~config ~options () in
   register db;
   db
 
@@ -79,20 +81,34 @@ let reg_fwb db =
 
 let reg_hep db = Raw_db.register_hep db ~name_prefix:"atlas" ~path:(corpus "bad_index.hep")
 
+(* Each golden runs under every access mode. The loading modes (dbms,
+   external) decode every schema column in a full pass of their own, the
+   in-situ ones only what the query touches, so error counts that depend
+   on touched columns or on the number of passes differ between the two. *)
+let loads_all = function
+  | Access.Dbms | Access.External -> true
+  | Access.In_situ | Access.Jit -> false
+
+let corpus_case name f =
+  Alcotest.test_case name `Quick (fun () ->
+      List.iter
+        (fun access ->
+          Printf.printf "access mode: %s\n%!" (Access.mode_to_string access);
+          f access)
+        [ Access.Dbms; Access.External; Access.In_situ; Access.Jit ])
+
 let corpus_tests =
   [
-    Alcotest.test_case "trunc_quote.csv: fail_fast raises typed error" `Quick
-      (fun () ->
-        expect_data_error ~cause:"bad float" (db_with reg_trunc)
+    corpus_case "trunc_quote.csv: fail_fast raises typed error" (fun access ->
+        expect_data_error ~cause:"bad float" (db_with ~access reg_trunc)
           "SELECT SUM(score) FROM t");
-    Alcotest.test_case "trunc_quote.csv: skip_row drops the torn row" `Quick
-      (fun () ->
-        let db = db_with ~policy:Scan_errors.Skip_row reg_trunc in
+    corpus_case "trunc_quote.csv: skip_row drops the torn row" (fun access ->
+        let db = db_with ~access ~policy:Scan_errors.Skip_row reg_trunc in
         check_value "count" (Value.Int 6)
           (Raw_db.scalar db "SELECT COUNT(*) FROM t");
         let r =
           Raw_db.query
-            (db_with ~policy:Scan_errors.Skip_row reg_trunc)
+            (db_with ~access ~policy:Scan_errors.Skip_row reg_trunc)
             "SELECT SUM(score) FROM t"
         in
         check_value "sum" (Value.Float 24.0) (scalar_of r);
@@ -101,33 +117,32 @@ let corpus_tests =
         (* the torn row starts at byte 72; its missing field is the float *)
         check_sample ~offset:72 ~field:2 ~cause:"bad float"
           (List.hd errs.samples));
-    Alcotest.test_case "trunc_quote.csv: null_fill keeps the physical row"
-      `Quick (fun () ->
-        let db = db_with ~policy:Scan_errors.Null_fill reg_trunc in
+    corpus_case "trunc_quote.csv: null_fill keeps the physical row"
+      (fun access ->
+        let db = db_with ~access ~policy:Scan_errors.Null_fill reg_trunc in
         check_value "count" (Value.Int 7)
           (Raw_db.scalar db "SELECT COUNT(*) FROM t");
         let r =
           Raw_db.query
-            (db_with ~policy:Scan_errors.Null_fill reg_trunc)
+            (db_with ~access ~policy:Scan_errors.Null_fill reg_trunc)
             "SELECT SUM(score) FROM t"
         in
         (* the NULL score is ignored by the aggregate *)
         check_value "sum" (Value.Float 24.0) (scalar_of r);
         Alcotest.(check int) "one error" 1 (errors_of r).total);
-    Alcotest.test_case "crlf_ragged.csv: fail_fast raises typed error" `Quick
-      (fun () ->
-        expect_data_error ~cause:"bad int" (db_with reg_crlf)
+    corpus_case "crlf_ragged.csv: fail_fast raises typed error" (fun access ->
+        expect_data_error ~cause:"bad int" (db_with ~access reg_crlf)
           "SELECT SUM(b) FROM t");
-    Alcotest.test_case "crlf_ragged.csv: skip_row validates all columns"
-      `Quick (fun () ->
-        let db = db_with ~policy:Scan_errors.Skip_row reg_crlf in
+    corpus_case "crlf_ragged.csv: skip_row validates all columns"
+      (fun access ->
+        let db = db_with ~access ~policy:Scan_errors.Skip_row reg_crlf in
         (* both the bad-int row and the short row are dropped, whatever
            columns the query touches *)
         check_value "count" (Value.Int 6)
           (Raw_db.scalar db "SELECT COUNT(*) FROM t");
         let r =
           Raw_db.query
-            (db_with ~policy:Scan_errors.Skip_row reg_crlf)
+            (db_with ~access ~policy:Scan_errors.Skip_row reg_crlf)
             "SELECT SUM(c) FROM t"
         in
         check_value "sum" (Value.Int 75) (scalar_of r);
@@ -138,76 +153,86 @@ let corpus_tests =
           "by cause" [ ("bad int", 4) ] errs.by_cause;
         check_sample ~offset:21 ~field:1 ~cause:"bad int"
           (List.hd errs.samples));
-    Alcotest.test_case "crlf_ragged.csv: null_fill nulls only touched fields"
-      `Quick (fun () ->
-        let db = db_with ~policy:Scan_errors.Null_fill reg_crlf in
+    corpus_case "crlf_ragged.csv: null_fill nulls only touched fields"
+      (fun access ->
+        let db = db_with ~access ~policy:Scan_errors.Null_fill reg_crlf in
         check_value "count" (Value.Int 8)
           (Raw_db.scalar db "SELECT COUNT(*) FROM t");
         let r =
           Raw_db.query
-            (db_with ~policy:Scan_errors.Null_fill reg_crlf)
+            (db_with ~access ~policy:Scan_errors.Null_fill reg_crlf)
             "SELECT SUM(c) FROM t"
         in
         check_value "sum" (Value.Int 81) (scalar_of r);
-        (* only the short row's missing c is decoded; the bad b is never
-           touched by this query *)
+        (* in situ, only the short row's missing c is decoded; the bad b is
+           never touched by this query *)
         let errs = errors_of r in
-        Alcotest.(check int) "errors" 1 errs.total;
+        if loads_all access then begin
+          Alcotest.(check int) "errors" 2 errs.total;
+          check_sample ~offset:21 ~field:1 ~cause:"bad int"
+            (List.hd errs.samples)
+        end
+        else Alcotest.(check int) "errors" 1 errs.total;
         check_sample ~offset:50 ~field:2 ~cause:"bad int"
-          (List.hd errs.samples));
-    Alcotest.test_case "bad.jsonl: fail_fast raises typed error" `Quick
-      (fun () ->
-        expect_data_error ~cause:"json: string value in Float column"
-          (db_with reg_jsonl) "SELECT SUM(val) FROM t");
-    Alcotest.test_case "bad.jsonl: skip_row keeps raw invalid UTF-8" `Quick
-      (fun () ->
+          (List.nth errs.samples (errs.total - 1)));
+    corpus_case "bad.jsonl: fail_fast raises typed error" (fun access ->
+        (* loading decodes the name column, whose bad escape comes first *)
+        expect_data_error
+          ~cause:
+            (if loads_all access then "json: bad \\u escape"
+             else "json: string value in Float column")
+          (db_with ~access reg_jsonl) "SELECT SUM(val) FROM t");
+    corpus_case "bad.jsonl: skip_row keeps raw invalid UTF-8" (fun access ->
         (* rows survive iff every schema column decodes: the bad \u escape,
            the string-for-float and the truncated object are dropped; the
            raw invalid-UTF-8 name is accepted (byte-transparent strings) *)
-        let db = db_with ~policy:Scan_errors.Skip_row reg_jsonl in
+        let db = db_with ~access ~policy:Scan_errors.Skip_row reg_jsonl in
         check_value "count" (Value.Int 3)
           (Raw_db.scalar db "SELECT COUNT(*) FROM t");
         let r =
           Raw_db.query
-            (db_with ~policy:Scan_errors.Skip_row reg_jsonl)
+            (db_with ~access ~policy:Scan_errors.Skip_row reg_jsonl)
             "SELECT SUM(val) FROM t"
         in
         check_value "sum" (Value.Float 11.5) (scalar_of r);
+        (* three bad rows, seen by the sizing pass and, when loading, by
+           the load pass too *)
         let errs = errors_of r in
-        Alcotest.(check int) "errors" 3 errs.total;
+        Alcotest.(check int) "errors" (if loads_all access then 6 else 3)
+          errs.total;
         Alcotest.(check (list string)) "causes"
           [
             "json: bad \\u escape";
             "json: expected ',' or '}'";
-            "json: string value in non-string column";
+            "json: string value in Float column";
           ]
           (List.map fst errs.by_cause));
-    Alcotest.test_case "bad.jsonl: null_fill keeps all physical rows" `Quick
-      (fun () ->
-        let db = db_with ~policy:Scan_errors.Null_fill reg_jsonl in
+    corpus_case "bad.jsonl: null_fill keeps all physical rows" (fun access ->
+        let db = db_with ~access ~policy:Scan_errors.Null_fill reg_jsonl in
         check_value "count" (Value.Int 6)
           (Raw_db.scalar db "SELECT COUNT(*) FROM t");
         let r =
           Raw_db.query
-            (db_with ~policy:Scan_errors.Null_fill reg_jsonl)
+            (db_with ~access ~policy:Scan_errors.Null_fill reg_jsonl)
             "SELECT SUM(val) FROM t"
         in
         check_value "sum" (Value.Float 14.0) (scalar_of r);
-        (* the bad name escape is not an error here: val never touches it *)
-        Alcotest.(check int) "errors" 2 (errors_of r).total);
-    Alcotest.test_case "ragged.fwb: fail_fast raises typed error" `Quick
-      (fun () ->
-        expect_data_error ~cause:"fwb: trailing bytes" (db_with reg_fwb)
+        (* the bad name escape is an error only when loading: in situ, val
+           never touches it *)
+        Alcotest.(check int) "errors" (if loads_all access then 3 else 2)
+          (errors_of r).total);
+    corpus_case "ragged.fwb: fail_fast raises typed error" (fun access ->
+        expect_data_error ~cause:"fwb: trailing bytes" (db_with ~access reg_fwb)
           "SELECT COUNT(*) FROM t");
-    Alcotest.test_case "ragged.fwb: lenient policies floor the row count"
-      `Quick (fun () ->
+    corpus_case "ragged.fwb: lenient policies floor the row count"
+      (fun access ->
         List.iter
           (fun policy ->
-            let db = db_with ~policy reg_fwb in
+            let db = db_with ~access ~policy reg_fwb in
             check_value "count" (Value.Int 5)
               (Raw_db.scalar db "SELECT COUNT(*) FROM t");
             let r =
-              Raw_db.query (db_with ~policy reg_fwb) "SELECT SUM(x) FROM t"
+              Raw_db.query (db_with ~access ~policy reg_fwb) "SELECT SUM(x) FROM t"
             in
             check_value "sum" (Value.Float 7.5) (scalar_of r);
             let errs = errors_of r in
@@ -215,34 +240,36 @@ let corpus_tests =
             check_sample ~offset:80 ~field:(-1) ~cause:"fwb: trailing bytes"
               (List.hd errs.samples))
           [ Scan_errors.Skip_row; Scan_errors.Null_fill ]);
-    Alcotest.test_case "bad_index.hep: fail_fast raises typed error" `Quick
-      (fun () ->
-        expect_data_error ~cause:"hep: read past EOF" (db_with reg_hep)
+    corpus_case "bad_index.hep: fail_fast raises typed error" (fun access ->
+        expect_data_error ~cause:"hep: read past EOF" (db_with ~access reg_hep)
           "SELECT SUM(pt) FROM atlas_muons");
-    Alcotest.test_case "bad_index.hep: lenient policies enumerate valid entries"
-      `Quick (fun () ->
+    corpus_case "bad_index.hep: lenient policies enumerate valid entries"
+      (fun access ->
         (* a corrupt event record has no recoverable fields, so Null_fill
            degrades to Skip_row for HEP: both enumerate the valid entries *)
         List.iter
           (fun policy ->
-            let db = db_with ~policy reg_hep in
+            let db = db_with ~access ~policy reg_hep in
             let r = Raw_db.query db "SELECT COUNT(*) FROM atlas_events" in
             check_value "count" (Value.Int 6) (scalar_of r);
+            (* two corrupt entries, recorded by the sizing pass and, when
+               loading, by the load pass too *)
             let errs = errors_of r in
-            Alcotest.(check int) "errors" 2 errs.total;
+            Alcotest.(check int) "errors" (if loads_all access then 4 else 2)
+              errs.total;
             (* index slots of the two corrupt entries: 792 + 8*{3,5} *)
+            let samples = List.sort_uniq compare errs.samples in
             check_sample ~offset:816 ~field:(-1)
-              ~cause:"hep: corrupt event record" (List.hd errs.samples);
+              ~cause:"hep: corrupt event record" (List.hd samples);
             check_sample ~offset:832 ~field:(-1)
-              ~cause:"hep: corrupt event record" (List.nth errs.samples 1);
+              ~cause:"hep: corrupt event record" (List.nth samples 1);
             check_value "sum pt" (Value.Float 80.0)
               (Raw_db.scalar db "SELECT SUM(pt) FROM atlas_muons"))
           [ Scan_errors.Skip_row; Scan_errors.Null_fill ]);
-    Alcotest.test_case "report: tolerated errors render in pp_report" `Quick
-      (fun () ->
+    corpus_case "report: tolerated errors render in pp_report" (fun access ->
         let r =
           Raw_db.query
-            (db_with ~policy:Scan_errors.Skip_row reg_crlf)
+            (db_with ~access ~policy:Scan_errors.Skip_row reg_crlf)
             "SELECT SUM(c) FROM t"
         in
         let s = Format.asprintf "%a" Executor.pp_report r in
@@ -434,6 +461,51 @@ let posmap_tests =
           (Column.of_int_array
              (Array.map (fun r -> (List.nth survivors r) * 7) rowids))
           fetched.(0));
+    Alcotest.test_case "null_fill: fetch records the row offset the scan does"
+      `Quick (fun () ->
+        (* 4 rows x 12 int columns; row 2 (byte 74) holds a bad col 11 *)
+        let path = fresh_path ".csv" in
+        let oc = open_out_bin path in
+        for r = 0 to 3 do
+          output_string oc
+            (String.concat ","
+               (List.init 12 (fun c ->
+                    if r = 2 && c = 11 then "x" else string_of_int ((r * 100) + c))));
+          output_char oc '\n'
+        done;
+        close_out oc;
+        let schema = Schema.of_pairs (int_cols 12) in
+        let samples f =
+          Scan_errors.reset ();
+          let r = f () in
+          let s = (Scan_errors.snapshot ()).samples in
+          Scan_errors.reset ();
+          (r, List.map (fun (x : Scan_errors.sample) -> (x.offset, x.field)) s)
+        in
+        (* row start from col-0 positions, by walking back from col 10's,
+           and from the length-aware single-column path *)
+        List.iter
+          (fun tracked ->
+            List.iter
+              (fun mode ->
+                let file = Mmap_file.open_file path in
+                let (_, pm), scanned =
+                  samples (fun () ->
+                      Scan_csv.seq_scan ~mode ~policy:Scan_errors.Null_fill ~file
+                        ~sep:',' ~schema ~needed:[ 11 ] ~tracked ())
+                in
+                let _, fetched =
+                  samples (fun () ->
+                      Scan_csv.fetch ~mode ~policy:Scan_errors.Null_fill ~file
+                        ~sep:',' ~schema ~posmap:(Option.get pm) ~cols:[ 11 ]
+                        ~rowids:[| 0; 1; 2; 3 |] ())
+                in
+                Alcotest.(check (list (pair int int))) "scan sample" [ (74, 11) ]
+                  scanned;
+                Alcotest.(check (list (pair int int))) "fetch sample" scanned
+                  fetched)
+              [ Scan_csv.Interpreted; Scan_csv.Jit ])
+          [ [ 0; 10 ]; [ 10 ]; [ 11 ] ]);
     Alcotest.test_case "row_aligned_ranges partition the file" `Quick
       (fun () ->
         let path = fresh_path ".csv" in

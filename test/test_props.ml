@@ -167,63 +167,345 @@ let prop_hash_join =
       in
       got = List.length naive && rows = naive)
 
-(* ---------------- scan kernels vs naive CSV model ---------------- *)
-
 let small_grid_gen =
   Gen.pair (Gen.int_range 1 30) (Gen.int_range 1 8)
 
+(* ---------------- scan kernels: interp == jit == naive reader ---------------- *)
+
+(* Run [f], returning its result plus the Io_stats work-counter delta it
+   caused (timing entries excluded: the per-domain wall-clock breakdown and
+   latency histograms — morsel.seconds has one observation per morsel and
+   wall-clock-dependent buckets — are timings, not work, and legitimately
+   vary with parallelism). *)
+let timing_key k =
+  String.starts_with ~prefix:"par.domain" k
+  (* one segment per morsel: the stitch count is the morsel count *)
+  || k = "posmap.segments_merged"
+  ||
+  match Raw_obs.Metrics.owner k with
+  | Some m -> Raw_obs.Metrics.kind m = Raw_obs.Metrics.Histogram
+  | None -> false
+
+let delta_counters f =
+  let before = Raw_storage.Io_stats.snapshot () in
+  let r = f () in
+  let after = Raw_storage.Io_stats.snapshot () in
+  let d =
+    List.filter_map
+      (fun (k, v) ->
+        if timing_key k then None
+        else
+          let v0 =
+            match List.assoc_opt k before with Some x -> x | None -> 0.
+          in
+          if v -. v0 <> 0. then Some (k, v -. v0) else None)
+      after
+  in
+  (r, d)
+
+let posmap_equal a b =
+  match (a, b) with
+  | None, None -> true
+  | Some a, Some b ->
+    Raw_formats.Posmap.tracked a = Raw_formats.Posmap.tracked b
+    && Raw_formats.Posmap.n_rows a = Raw_formats.Posmap.n_rows b
+    && Array.for_all
+         (fun c ->
+           Raw_formats.Posmap.positions a c = Raw_formats.Posmap.positions b c
+           && Raw_formats.Posmap.lengths a c = Raw_formats.Posmap.lengths b c)
+         (Raw_formats.Posmap.tracked a)
+  | _ -> false
+
+module Scan_errors = Raw_storage.Scan_errors
+module Scan_csv = Raw_core.Scan_csv
+
+(* A generated table: [n] rows of mixed-type columns, the queried and
+   tracked columns, an error policy, and byte mutations ([] = clean rows).
+   Mutations spare '\n' and '\r' and write printable ASCII, so the row
+   structure survives them. *)
+type table = {
+  n : int;
+  dts : Dtype.t list;
+  needed : int list;
+  tracked : int list;
+  policy : Scan_errors.policy;
+  muts : (int * int) list;
+}
+
+let table_gen =
+  let open Gen in
+  let* n = int_range 1 30
+  and* dts = list_size (int_range 1 8) (oneofl Dtype.[ Int; Float; Bool; String ])
+  and* policy = oneofl Scan_errors.[ Fail_fast; Skip_row; Null_fill ]
+  and* muts =
+    oneof
+      [ return []; list_size (int_range 1 8) (pair (int_bound 4096) (int_range 33 126)) ]
+  in
+  let m = List.length dts in
+  let* needed = list_size (return m) bool
+  and* tracked = list_size (return m) bool
+  and* t0 = int_bound (m - 1) in
+  let pick mask = List.filteri (fun i _ -> List.nth mask i) (List.init m Fun.id) in
+  let tracked = List.sort_uniq compare (t0 :: pick tracked) in
+  return { n; dts; needed = pick needed; tracked; policy; muts }
+
+let show_table t =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "n=%d dts=[%s] needed=[%s] tracked=[%s] policy=%s muts=[%s]" t.n
+    (String.concat ";" (List.map Dtype.to_string t.dts))
+    (ints t.needed) (ints t.tracked)
+    (Scan_errors.policy_to_string t.policy)
+    (String.concat ";" (List.map (fun (p, c) -> Printf.sprintf "%d:%c" p (Char.chr c)) t.muts))
+
+let cell (dt : Dtype.t) r c =
+  match dt with
+  | Int -> string_of_int ((r * 31) + (c * 7) - 50)
+  | Float -> Printf.sprintf "%d.%d" ((r * 3) + c) (r mod 4 * 25)
+  | Bool -> if (r + c) mod 2 = 0 then "1" else "0"
+  | String -> Printf.sprintf "s%d_%d" r c
+
+let value (dt : Dtype.t) r c =
+  let s = cell dt r c in
+  match dt with
+  | Int -> Value.Int (int_of_string s)
+  | Float -> Value.Float (float_of_string s)
+  | Bool -> Value.Bool (s = "1")
+  | String -> Value.String s
+
+let mutate t bytes =
+  let b = Bytes.of_string bytes in
+  if Bytes.length b > 0 then
+    List.iter
+      (fun (pos, ch) ->
+        let pos = pos mod Bytes.length b in
+        match Bytes.get b pos with
+        | '\n' | '\r' -> ()
+        | _ -> Bytes.set b pos (Char.chr ch))
+      t.muts;
+  Bytes.to_string b
+
+(* The fault_ prefix opts these files into the fault-injection CI job's
+   media corruption (RAW_FAULT_ONLY=fault_). *)
+let write_file suffix text =
+  let path = fresh_path ("_fault_modes" ^ suffix) in
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc text);
+  path
+
+let csv_text t =
+  String.concat ""
+    (List.init t.n (fun r ->
+         String.concat "," (List.mapi (fun c dt -> cell dt r c) t.dts) ^ "\n"))
+
+let schema_of dts = Schema.of_pairs (List.mapi (fun i dt -> (Printf.sprintf "c%d" i, dt)) dts)
+
+let clean_file t file =
+  t.muts = []
+  && Raw_storage.Mmap_file.injected_flips file = 0
+  && Raw_storage.Mmap_file.injected_truncated_bytes file = 0
+
+(* Bit-identical columns (a mutated FWB float may be a NaN). *)
+let same_col a b =
+  Column.length a = Column.length b
+  && Dtype.equal (Column.dtype a) (Column.dtype b)
+  && List.for_all
+       (fun i ->
+         match Column.get a i, Column.get b i with
+         | Value.Float x, Value.Float y -> Float.equal x y
+         | x, y -> Value.equal x y)
+       (List.init (Column.length a) Fun.id)
+
+let same_cols a b = Array.length a = Array.length b && Array.for_all2 same_col a b
+
+let work_keys =
+  [ "csv.fields_tokenized"; "csv.values_converted"; "fwb.values_read"; "scan.values_built" ]
+
+(* [f]'s outcome (its value or typed error), the errors it recorded and
+   its work-counter deltas. *)
+let observe f =
+  Scan_errors.reset ();
+  let r, d =
+    delta_counters (fun () ->
+        match f () with v -> Ok v | exception Scan_errors.Error e -> Error e)
+  in
+  let errs = Scan_errors.snapshot () in
+  Scan_errors.reset ();
+  (r, errs, List.filter (fun (k, _) -> List.mem k work_keys) d)
+
+(* Both modes, same outcome, errors and work. *)
+let modes_agree same run =
+  let ri, ei, wi = run Scan_csv.Interpreted in
+  let rj, ej, wj = run Scan_csv.Jit in
+  (match ri, rj with
+   | Ok a, Ok b -> same a b
+   | Error a, Error b -> a = b
+   | _ -> false)
+  && ei = ej && wi = wj
+
+(* Both properties run every policy on clean and byte-mutated rows, mixed
+   column types and a non-empty tracked set, over CSV and its FWB twin. *)
+let mode_test name f =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60 ~name ~print:show_table table_gen f)
+
 let prop_scan_modes_agree =
-  qtest "interpreted and JIT CSV scans agree with a naive reader" ~count:40
-    small_grid_gen
-    (fun (n, m) ->
-      let rows = List.init n (fun r -> List.init m (fun c -> (r * 31) + (c * 7))) in
-      let path = write_csv_rows rows in
+  mode_test "interpreted and JIT CSV scans agree with a naive reader"
+    (fun t ->
+      let m = List.length t.dts in
+      let schema = schema_of t.dts in
+      let text = csv_text t in
+      let path = write_file ".csv" (mutate t text) in
       let file = Raw_storage.Mmap_file.open_file path in
-      let schema = Schema.of_pairs (int_cols m) in
-      let needed = List.filteri (fun i _ -> i mod 2 = 0) (List.init m Fun.id) in
-      let run mode =
-        fst
-          (Raw_core.Scan_csv.seq_scan ~mode ~file ~sep:',' ~schema ~needed
-             ~tracked:[] ())
+      let scan mode =
+        observe (fun () ->
+            Scan_csv.seq_scan ~mode ~policy:t.policy ~file ~sep:',' ~schema
+              ~needed:t.needed ~tracked:t.tracked ())
       in
-      let interp = run Raw_core.Scan_csv.Interpreted in
-      let jit = run Raw_core.Scan_csv.Jit in
-      let naive =
-        List.map
-          (fun c -> Column.of_int_array (Array.of_list (List.map (fun row -> List.nth row c) rows)))
-          needed
+      let naive () =
+        (* each row's field offsets, recomputed from the clean text *)
+        let row_starts = Array.make t.n 0 and starts = Array.make_matrix t.n m 0 in
+        let pos = ref 0 in
+        for r = 0 to t.n - 1 do
+          row_starts.(r) <- !pos;
+          List.iteri
+            (fun c dt ->
+              starts.(r).(c) <- !pos;
+              pos := !pos + String.length (cell dt r c) + 1)
+            t.dts
+        done;
+        match scan Scan_csv.Jit with
+        | Ok (cols, Some pm), errs, _ ->
+          Scan_errors.is_empty errs
+          && List.for_all2
+               (fun c col ->
+                 let dt = List.nth t.dts c in
+                 same_col col (Column.of_values dt (List.init t.n (fun r -> value dt r c))))
+               t.needed (Array.to_list cols)
+          && List.for_all
+               (fun c ->
+                 Raw_formats.Posmap.positions pm c = Array.init t.n (fun r -> starts.(r).(c))
+                 && Raw_formats.Posmap.lengths pm c
+                    = Some
+                        (Array.init t.n (fun r ->
+                             String.length (cell (List.nth t.dts c) r c))))
+               t.tracked
+        | _ -> false
       in
-      List.for_all2
-        (fun c k -> Column.equal c interp.(k) && Column.equal c jit.(k))
-        naive
-        (List.init (List.length needed) Fun.id))
+      (* the FWB twin: strings become ints, mutations hit the binary rows *)
+      let fdts = List.map (function Dtype.String -> Dtype.Int | dt -> dt) t.dts in
+      let layout = Raw_formats.Fwb.layout (Array.of_list fdts) in
+      let fpath = fresh_path "_fault_modes.fwb" in
+      Raw_formats.Fwb.write_file ~path:fpath layout
+        (Seq.init t.n (fun r -> Array.of_list (List.mapi (fun c dt -> value dt r c) fdts)));
+      let fpath =
+        write_file ".fwb" (mutate t (In_channel.with_open_bin fpath In_channel.input_all))
+      in
+      let ffile = Raw_storage.Mmap_file.open_file fpath in
+      let fschema = schema_of fdts in
+      let fwb mode =
+        observe (fun () ->
+            Raw_core.Scan_fwb.seq_scan ~mode ~policy:t.policy ~file:ffile ~layout
+              ~schema:fschema ~needed:t.needed ())
+      in
+      let fwb_naive () =
+        match fwb Scan_csv.Jit with
+        | Ok cols, _, _ ->
+          List.for_all2
+            (fun c col ->
+              let dt = List.nth fdts c in
+              same_col col (Column.of_values dt (List.init t.n (fun r -> value dt r c))))
+            t.needed (Array.to_list cols)
+        | Error _, _, _ -> false
+      in
+      modes_agree
+        (fun (ca, pa) (cb, pb) -> same_cols ca cb && posmap_equal pa pb)
+        scan
+      && modes_agree same_cols fwb
+      && ((not (clean_file t file)) || naive ())
+      && ((not (clean_file t ffile)) || fwb_naive ()))
 
 let prop_fetch_matches_scan =
-  qtest "posmap fetch agrees with full scan" ~count:40 small_grid_gen
-    (fun (n, m) ->
-      let rows = List.init n (fun r -> List.init m (fun c -> (r * 13) + c)) in
-      let path = write_csv_rows rows in
+  mode_test "posmap fetch agrees with full scan"
+    (fun t ->
+      let schema = schema_of t.dts in
+      let all = List.init (List.length t.dts) Fun.id in
+      let path = write_file ".csv" (mutate t (csv_text t)) in
       let file = Raw_storage.Mmap_file.open_file path in
-      let schema = Schema.of_pairs (int_cols m) in
-      let tracked = Raw_formats.Posmap.every_k ~k:3 ~n_cols:m in
-      let all = List.init m Fun.id in
-      let full, pm =
-        Raw_core.Scan_csv.seq_scan ~mode:Raw_core.Scan_csv.Jit ~file ~sep:','
-          ~schema ~needed:all ~tracked ()
+      let fetch_csv =
+        match
+          observe (fun () ->
+              Scan_csv.seq_scan ~mode:Scan_csv.Jit ~policy:t.policy ~file ~sep:','
+                ~schema ~needed:all ~tracked:t.tracked ())
+        with
+        | Error _, _, _ -> true (* fail-fast on a bad field: nothing to fetch *)
+        | Ok (full, pm), scanned, _ ->
+          let pm = Option.get pm in
+          let rowids =
+            Array.of_list
+              (List.filter (fun r -> r mod 2 = 1)
+                 (List.init (Raw_formats.Posmap.n_rows pm) Fun.id))
+          in
+          let cols =
+            List.filter
+              (fun c -> Scan_csv.can_fetch ~schema ~posmap:pm ~cols:[ c ])
+              t.needed
+          in
+          let fetch mode =
+            observe (fun () ->
+                Scan_csv.fetch ~mode ~policy:t.policy ~file ~sep:',' ~schema
+                  ~posmap:pm ~cols ~rowids ())
+          in
+          cols = []
+          || modes_agree same_cols fetch
+             &&
+             match fetch Scan_csv.Jit with
+             | Ok got, errs, _ ->
+               List.for_all2
+                 (fun c col -> same_col (Column.gather full.(c) rowids) col)
+                 cols (Array.to_list got)
+               (* the fetch records each bad field at the row offset the
+                  scan recorded it at *)
+               && (scanned.total > Scan_errors.max_samples
+                  || List.for_all (fun s -> List.mem s scanned.samples) errs.samples)
+             | Error _, _, _ -> false
       in
-      let pm = Option.get pm in
-      let rowids = Array.of_list (List.filteri (fun i _ -> i mod 2 = 1) (List.init n Fun.id)) in
-      if Array.length rowids = 0 then true
-      else
-        List.for_all
-          (fun mode ->
-            let cols = [ m - 1 ] in
-            let fetched =
-              Raw_core.Scan_csv.fetch ~mode ~file ~sep:',' ~schema ~posmap:pm
-                ~cols ~rowids ()
-            in
-            Column.equal (Column.gather full.(m - 1) rowids) fetched.(0))
-          [ Raw_core.Scan_csv.Interpreted; Raw_core.Scan_csv.Jit ])
+      let fdts = List.map (function Dtype.String -> Dtype.Int | dt -> dt) t.dts in
+      let layout = Raw_formats.Fwb.layout (Array.of_list fdts) in
+      let text =
+        let p = fresh_path ".fwb" in
+        Raw_formats.Fwb.write_file ~path:p layout
+          (Seq.init t.n (fun r -> Array.of_list (List.mapi (fun c dt -> value dt r c) fdts)));
+        In_channel.with_open_bin p In_channel.input_all
+      in
+      let ffile = Raw_storage.Mmap_file.open_file (write_file ".fwb" (mutate t text)) in
+      let fschema = schema_of fdts in
+      let fetch_fwb =
+        match
+          observe (fun () ->
+              Raw_core.Scan_fwb.seq_scan ~mode:Scan_csv.Jit ~policy:t.policy
+                ~file:ffile ~layout ~schema:fschema ~needed:all ())
+        with
+        | Error _, _, _ -> true (* ragged under fail-fast *)
+        | Ok full, _, _ ->
+          let rowids =
+            Array.of_list
+              (List.filter (fun r -> r mod 3 <> 1)
+                 (List.init (Column.length full.(0)) Fun.id))
+          in
+          let fetch mode =
+            observe (fun () ->
+                Raw_core.Scan_fwb.fetch ~mode ~file:ffile ~layout ~schema:fschema
+                  ~cols:t.needed ~rowids)
+          in
+          modes_agree same_cols fetch
+          &&
+          match fetch Scan_csv.Jit with
+          | Ok got, _, _ ->
+            List.for_all2
+              (fun c col -> same_col (Column.gather full.(c) rowids) col)
+              t.needed (Array.to_list got)
+          | Error _, _, _ -> false
+      in
+      fetch_csv && fetch_fwb)
 
 (* ---------------- FWB roundtrip ---------------- *)
 
@@ -443,50 +725,6 @@ let prop_csv_edges =
       && Column.equal jit.(1) want_b)
 
 (* ---------------- parallel scans vs sequential ---------------- *)
-
-(* Run [f], returning its result plus the Io_stats work-counter delta it
-   caused (timing entries excluded: the per-domain wall-clock breakdown and
-   latency histograms — morsel.seconds has one observation per morsel and
-   wall-clock-dependent buckets — are timings, not work, and legitimately
-   vary with parallelism). *)
-let timing_key k =
-  String.starts_with ~prefix:"par.domain" k
-  (* one segment per morsel: the stitch count is the morsel count *)
-  || k = "posmap.segments_merged"
-  ||
-  match Raw_obs.Metrics.owner k with
-  | Some m -> Raw_obs.Metrics.kind m = Raw_obs.Metrics.Histogram
-  | None -> false
-
-let delta_counters f =
-  let before = Raw_storage.Io_stats.snapshot () in
-  let r = f () in
-  let after = Raw_storage.Io_stats.snapshot () in
-  let d =
-    List.filter_map
-      (fun (k, v) ->
-        if timing_key k then None
-        else
-          let v0 =
-            match List.assoc_opt k before with Some x -> x | None -> 0.
-          in
-          if v -. v0 <> 0. then Some (k, v -. v0) else None)
-      after
-  in
-  (r, d)
-
-let posmap_equal a b =
-  match (a, b) with
-  | None, None -> true
-  | Some a, Some b ->
-    Raw_formats.Posmap.tracked a = Raw_formats.Posmap.tracked b
-    && Raw_formats.Posmap.n_rows a = Raw_formats.Posmap.n_rows b
-    && Array.for_all
-         (fun c ->
-           Raw_formats.Posmap.positions a c = Raw_formats.Posmap.positions b c
-           && Raw_formats.Posmap.lengths a c = Raw_formats.Posmap.lengths b c)
-         (Raw_formats.Posmap.tracked a)
-  | _ -> false
 
 let mode_gen = Gen.oneofl [ Raw_core.Scan_csv.Interpreted; Raw_core.Scan_csv.Jit ]
 
