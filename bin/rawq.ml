@@ -546,12 +546,6 @@ let socket_arg =
            ~doc:"Unix socket path the server listens on (an existing \
                  socket file is replaced).")
 
-let no_result_cache_arg =
-  Arg.(value & flag
-       & info [ "no-result-cache" ]
-           ~doc:"Disable the result cache (statement caching and shared \
-                 scans stay on).")
-
 let max_request_bytes_arg =
   Arg.(value & opt string "1m"
        & info [ "max-request-bytes" ] ~docv:"BYTES"
@@ -609,7 +603,7 @@ let serve_profile_arg =
 
 let serve_main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy
     every par on_error deadline memory_budget max_concurrent approx
-    approx_seed chunk_rows profile history socket no_result_cache
+    approx_seed chunk_rows profile history socket
     max_request_bytes request_timeout idle_timeout max_sessions telemetry_tick
     trace_retain =
   try
@@ -640,7 +634,7 @@ let serve_main csv jsonl jsonl_array fwb ibx hep sep mode shreds join_policy
       (String.concat ", " (Raw_db.tables db))
       socket;
     Format.print_flush ();
-    Server.serve ~cache_results:(not no_result_cache) ~socket_path:socket db;
+    Server.serve ~socket_path:socket db;
     Format.printf "rawq: server on %s shut down cleanly@." socket;
     0
   with
@@ -675,7 +669,7 @@ let serve_cmd =
       $ on_error_arg $ deadline_arg $ memory_budget_arg $ max_concurrent_arg
       $ approx_arg $ approx_seed_arg $ chunk_rows_arg
       $ serve_profile_arg
-      $ history_arg $ socket_arg $ no_result_cache_arg
+      $ history_arg $ socket_arg
       $ max_request_bytes_arg $ request_timeout_arg $ idle_timeout_arg
       $ max_sessions_arg $ telemetry_tick_arg $ trace_retain_arg)
 

@@ -77,14 +77,6 @@ let io_of_files cat logical =
     (fun acc f -> acc +. Mmap_file.simulated_io_seconds f)
     0. (entry_files cat logical)
 
-let counter_delta ~before key =
-  let v0 = match List.assoc_opt key before with Some x -> x | None -> 0. in
-  let v = match List.assoc_opt key (Io_stats.snapshot ()) with
-    | Some x -> x
-    | None -> 0.
-  in
-  v -. v0
-
 (* The access-path component of a history record: the formats scanned,
    deduplicated and joined ("csv", "hep", "csv+jsonl", ...). *)
 let access_of cat logical =
@@ -98,52 +90,6 @@ let access_of cat logical =
               Format_kind.to_string (Catalog.get cat t).Catalog.format)
             ts))
 
-let strategy_of_name = function
-  | "full" -> Some `Full_columns
-  | "shreds" -> Some `Shreds
-  | "multishreds" -> Some `Multi_shreds
-  | _ -> None
-
-(* The adaptive resolution, parsed back out of its decision record (the
-   planner serialized every cost-model input precisely so the outcome can
-   be joined against the prediction here). *)
-type prediction = {
-  p_choice : string;
-  p_table : string;
-  p_sel : float;
-  p_n_rows : int;
-  p_n_filter : int;
-  p_n_post : int;
-  p_textual : bool;
-}
-
-let prediction_of_decisions decisions =
-  match Decisions.by_site decisions "planner.adaptive" with
-  | [] -> None
-  | d :: _ -> (
-    let get k = List.assoc_opt k d.Decisions.inputs in
-    let flt k = Option.bind (get k) float_of_string_opt in
-    let int k = Option.bind (get k) int_of_string_opt in
-    match
-      ( get "table",
-        flt "selectivity",
-        int "n_rows",
-        int "n_filter_cols",
-        int "n_post_cols" )
-    with
-    | Some table, Some sel, Some n_rows, Some n_filter, Some n_post ->
-      Some
-        {
-          p_choice = d.Decisions.choice;
-          p_table = table;
-          p_sel = sel;
-          p_n_rows = n_rows;
-          p_n_filter = n_filter;
-          p_n_post = n_post;
-          p_textual = get "textual" = Some "true";
-        }
-    | _ -> None)
-
 let history_status_of_exn = function
   | Cancel.Stop Cancel.Deadline -> Raw_obs.History.Deadline
   | Cancel.Stop Cancel.User -> Raw_obs.History.Cancelled
@@ -151,16 +97,28 @@ let history_status_of_exn = function
   | Resource_error.Invalid_config _ -> Raw_obs.History.Failed "config"
   | _ -> Raw_obs.History.Failed "exception"
 
-let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
+(* [after - before] over two counter snapshots: the keys that moved *)
+let counter_diff ~before after =
+  List.filter_map
+    (fun (k, v) ->
+      let d = v -. Option.value (List.assoc_opt k before) ~default:0. in
+      if d <> 0. then Some (k, d) else None)
+    after
+
+let drain schema op =
+  let chunk = Operator.to_chunk op in
+  (* an exhausted operator yields the 0-column empty chunk; give empty
+     results their proper schema-shaped arity *)
+  if Chunk.n_rows chunk = 0 && Chunk.n_cols chunk <> Schema.arity schema then
+    Chunk.create
+      (Array.of_list
+         (List.map
+            (fun (f : Schema.field) -> Column.of_values f.dtype [])
+            (Schema.fields schema)))
+  else chunk
+
+let run ?(options = Planner.default) ~cancel ?(pre_spans = []) cat logical =
   let cfg = Catalog.config cat in
-  let cancel =
-    match cancel with
-    | Some c -> c
-    | None -> (
-      match cfg.Config.deadline with
-      | Some s -> Cancel.create ~deadline_seconds:s ()
-      | None -> Cancel.never)
-  in
   (* baseline for per-query deltas *)
   let before = Io_stats.snapshot () in
   Scan_errors.reset ();
@@ -185,14 +143,7 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
       Some h
     end
   in
-  (* decisions are needed whenever either sink is on: the trace/report
-     (observe) or the workload history, whose calibration join reads the
-     planner.adaptive record back *)
-  let dec_h =
-    if cfg.Config.observe || cfg.Config.history_path <> None then
-      Some (Decisions.create ())
-    else None
-  in
+  let dec_h = if cfg.Config.observe then Some (Decisions.create ()) else None in
   let with_obs f =
     let f =
       match dec_h with
@@ -204,6 +155,10 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
     | Some h ->
       Trace.with_handle h (fun () -> Trace.with_span ~cat:"query" "query" f)
   in
+  (* set as soon as the planner resolves an Adaptive strategy, so a query
+     that fails afterwards (even inside an eager plan's bottom read) still
+     joins its prediction against its partial outcome *)
+  let resolution = ref None in
   (* the coordinator's GC baseline; workers sample their own domains
      inside Morsel, so the merged alloc.*/gc.* deltas are additive *)
   let g0 = if cfg.Config.profile then Some (Raw_obs.Prof.sample ()) else None in
@@ -218,11 +173,13 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
                 let exact () =
                   let op, schema =
                     Trace.with_span ~cat:"plan" "plan" (fun () ->
+                        let options, r = Planner.resolve cat options logical in
+                        resolution := r;
                         Planner.plan cat options logical)
                   in
                   let chunk =
                     Trace.with_span ~cat:"execute" "execute" (fun () ->
-                        Operator.to_chunk op)
+                        drain schema op)
                   in
                   (chunk, schema)
                 in
@@ -248,15 +205,23 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
                     let chunk, schema = exact () in
                     (chunk, schema, None))))))
   in
-  (* flush the coordinator's GC delta before any counter snapshot below
-     reads the alloc.*/gc.* keys (both success and failure paths) *)
+  (* flush the coordinator's GC delta before the counter snapshot reads
+     the alloc.*/gc.* keys (both success and failure paths) *)
   (match g0 with Some g -> Raw_obs.Prof.record_since g | None -> ());
-  (* accounting shared by the success and failure paths *)
+  (* accounting shared by the success and failure paths; every per-query
+     figure below reads this one diff *)
   let io_seconds = io_of_files cat logical in
   let compile_seconds =
     Template_cache.take_charged_seconds (Catalog.templates cat)
   in
-  let delta k = counter_delta ~before k in
+  (match outcome with
+   | Ok _ ->
+     Metrics.add_float Metrics.io_simulated_seconds io_seconds;
+     Metrics.observe Metrics.query_seconds
+       (cpu_seconds +. io_seconds +. compile_seconds)
+   | Error _ -> ());
+  let diff = counter_diff ~before (Io_stats.snapshot ()) in
+  let delta k = Option.value (List.assoc_opt k diff) ~default:0. in
   let rows_scanned =
     (* scan.rows_scanned only ticks under an armed cancel token (it funds
        partial-progress accounting); fall back to the rows that entered
@@ -275,61 +240,49 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
       Some (delta (Metrics.id Metrics.filter_rows_out) /. rows_in)
     else None
   in
-  let decisions =
-    match dec_h with Some d -> Decisions.records d | None -> []
+  let resolution = !resolution in
+  let costs_at (r : Planner.resolution) selectivity =
+    Cost_model.selection_costs ~n_rows:r.n_rows ~n_filter_cols:r.n_filter_cols
+      ~n_post_cols:r.n_post_cols ~selectivity ~textual:r.textual
   in
-  let prediction = prediction_of_decisions decisions in
-  let cost_predicted, mispredicted, better =
-    match prediction with
-    | None -> (None, None, None)
-    | Some p ->
-      let costs_at sel =
-        Cost_model.selection_costs ~n_rows:p.p_n_rows
-          ~n_filter_cols:p.p_n_filter ~n_post_cols:p.p_n_post
-          ~selectivity:sel ~textual:p.p_textual
-      in
-      let cost_predicted =
-        Option.map
-          (Cost_model.cost_of (costs_at p.p_sel))
-          (strategy_of_name p.p_choice)
-      in
-      (match sel_obs with
-       | None -> (cost_predicted, None, None)
-       | Some sel ->
-         Table_stats.note_selectivity (Catalog.stats cat) ~table:p.p_table
-           sel;
-         let preferred = Cost_model.choose (costs_at sel) in
-         let preferred_name = Cost_model.strategy_name preferred in
-         if preferred_name = p.p_choice then (cost_predicted, Some false, None)
-         else begin
-           Io_stats.incr (Metrics.id Metrics.planner_mispredict ^ p.p_choice);
-           (cost_predicted, Some true, Some preferred_name)
-         end)
+  let cost_predicted =
+    Option.map
+      (fun (r : Planner.resolution) ->
+        Cost_model.cost_of (costs_at r r.selectivity) r.choice)
+      resolution
+  in
+  (* re-cost the choice at the observed selectivity; a reversal bumps
+     the one counter that moves after the diff, so it is charged to this
+     query's counters by hand *)
+  let mispredicted, better, mispredict =
+    match (resolution, sel_obs) with
+    | Some r, Some sel ->
+      Table_stats.note_selectivity (Catalog.stats cat) ~table:r.table sel;
+      let preferred = Cost_model.choose (costs_at r sel) in
+      if preferred = r.choice then (Some false, None, [])
+      else begin
+        let k =
+          Metrics.id Metrics.planner_mispredict
+          ^ Cost_model.strategy_name r.choice
+        in
+        Io_stats.incr k;
+        (Some true, Some (Cost_model.strategy_name preferred), [ (k, 1.) ])
+      end
+    | _ -> (None, None, [])
   in
   (* profiler columns: absent unless this query was profiled, so history
      readers can tell "not profiled" from "profiled, allocated nothing" *)
-  let copied_delta () =
-    List.fold_left
-      (fun acc (k, v) ->
-        if String.starts_with ~prefix:"bytes.copied." k then
-          let v0 =
-            match List.assoc_opt k before with Some x -> x | None -> 0.
-          in
-          acc +. (v -. v0)
-        else acc)
-      0. (Io_stats.snapshot ())
-  in
   let if_profiled v = if cfg.Config.profile then Some (v ()) else None in
   let append_history ~status ~result_rows ~degraded =
     match cfg.Config.history_path with
     | None -> ()
     | Some path ->
       let strategy =
-        match prediction with
-        | Some p -> p.p_choice
+        match resolution with
+        | Some r -> Cost_model.strategy_name r.choice
         | None -> Planner.shred_strategy_to_string options.Planner.shreds
       in
-      Raw_obs.History.append ~path ~max_bytes:cfg.Config.history_max_bytes
+      Raw_obs.History.append ~path
         {
           Raw_obs.History.ts = Unix.gettimeofday ();
           shape = Logical.fingerprint logical;
@@ -343,7 +296,10 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
           rows_scanned;
           result_rows;
           parallelism = cfg.Config.parallelism;
-          sel_est = Option.map (fun p -> p.p_sel) prediction;
+          sel_est =
+            Option.map
+              (fun (r : Planner.resolution) -> r.selectivity)
+              resolution;
           sel_obs;
           cost_predicted;
           mispredicted;
@@ -364,7 +320,14 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
           gc_major =
             if_profiled (fun () ->
                 int_of_float (delta (Metrics.id Metrics.gc_major_collections)));
-          bytes_copied = if_profiled copied_delta;
+          bytes_copied =
+            if_profiled (fun () ->
+                List.fold_left
+                  (fun acc (k, v) ->
+                    if String.starts_with ~prefix:"bytes.copied." k then
+                      acc +. v
+                    else acc)
+                  0. diff);
         }
   in
   let chunk, schema, approx =
@@ -392,35 +355,11 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
        | Cancel.Stop Cancel.User -> raise (Resource_error.Cancelled progress)
        | e -> raise e)
   in
-  (* an exhausted operator yields the 0-column empty chunk; give empty
-     results their proper schema-shaped arity *)
-  let chunk =
-    if Chunk.n_rows chunk = 0 && Chunk.n_cols chunk <> Schema.arity schema then
-      Chunk.create
-        (Array.of_list
-           (List.map
-              (fun (f : Schema.field) -> Column.of_values f.dtype [])
-              (Schema.fields schema)))
-    else chunk
-  in
-  Metrics.add_float Metrics.io_simulated_seconds io_seconds;
-  Metrics.observe Metrics.query_seconds
-    (cpu_seconds +. io_seconds +. compile_seconds);
-  let after = Io_stats.snapshot () in
-  let deltas =
-    List.filter_map
-      (fun (k, v) ->
-        let v0 =
-          match List.assoc_opt k before with Some x -> x | None -> 0.
-        in
-        if v -. v0 <> 0. then Some (k, v -. v0) else None)
-      after
-  in
   (* worker-domain wall clocks are a breakdown, not a work metric *)
   let domain_seconds, counters =
     List.partition
       (fun (k, _) -> String.starts_with ~prefix:domain_prefix k)
-      deltas
+      (List.sort (fun (a, _) (b, _) -> String.compare a b) (mispredict @ diff))
   in
   let degraded = degraded_of_counters counters in
   append_history ~status:Raw_obs.History.Completed
@@ -434,11 +373,11 @@ let run ?(options = Planner.default) ?cancel ?(pre_spans = []) cat logical =
     total_seconds = cpu_seconds +. io_seconds +. compile_seconds;
     parallelism = cfg.Config.parallelism;
     domain_seconds;
-    counters = List.sort (fun (a, _) (b, _) -> String.compare a b) counters;
+    counters;
     errors = Scan_errors.snapshot ();
     degraded;
     spans = (match trace_h with Some h -> Trace.spans h | None -> []);
-    decisions;
+    decisions = (match dec_h with Some d -> Decisions.records d | None -> []);
     approx;
   }
 

@@ -41,9 +41,7 @@ type report = {
   decisions : Raw_obs.Decisions.record list;
   (** adaptive-decision audit log (JIT vs interpreted, posmap use, shred
       reuse, cache hits, governance degradation) in recording order; empty
-      unless {!Config.observe} or {!Config.history_path} is on (the
-      workload history joins the [planner.adaptive] record against the
-      measured outcome) *)
+      unless {!Config.observe} is on *)
   approx : Approx.info option;
   (** online-aggregation account when {!Config.approx} drove this query:
       estimate ± bound per output column, sampled fraction, and whether
@@ -52,19 +50,25 @@ type report = {
       off {e or} the query was ineligible and ran exactly. *)
 }
 
+val drain : Schema.t -> Raw_engine.Operator.t -> Chunk.t
+(** Drain an operator into one chunk of the schema's arity: an exhausted
+    operator yields the 0-column empty chunk, which becomes an empty
+    chunk with one typed column per schema field. Every result {!run}
+    returns goes through it, and so does each member of a shared scan. *)
+
 val run :
   ?options:Planner.options ->
-  ?cancel:Cancel.t ->
+  cancel:Cancel.t ->
   ?pre_spans:(string * float * float) list ->
   Catalog.t ->
   Logical.t ->
   report
 (** Runs the query to completion and reports its cost breakdown.
 
-    Governance: [cancel] defaults to a fresh token armed from
-    {!Config.deadline} (or the inert token when no deadline is set). The
-    token is installed as the ambient {!Raw_storage.Cancel} token for the
-    duration of the run; scan kernels check it at row-batch boundaries. If
+    Governance: [cancel] comes from the caller ({!Raw_db.run_plan} arms
+    it from {!Config.deadline}). The token is installed as the ambient
+    {!Raw_storage.Cancel} token for the duration of the run; scan kernels
+    check it at row-batch boundaries. If
     it trips, all worker domains quiesce at their next boundary, partial
     stats are merged, and [run] raises
     {!Raw_storage.Resource_error.Deadline_exceeded} (or [Cancelled]) whose
@@ -81,8 +85,8 @@ val run :
     observing.
 
     Feedback: when the planner resolved an [Adaptive] strategy, the run
-    joins the prediction (decision record) against the measured filter
-    row flow: the observed selectivity feeds
+    joins the prediction ({!Planner.resolution}) against the measured
+    filter row flow: the observed selectivity feeds
     {!Table_stats.note_selectivity}, and a choice the cost model would
     reverse at the observed selectivity bumps
     [planner.mispredict.<chosen>]. When {!Config.history_path} is set,

@@ -82,15 +82,17 @@ let rec output_schema cat = function
          (uniquify (key_fields @ agg_fields)))
   | Order_by (_, child) | Limit (_, child) -> output_schema cat child
 
-let tables plan =
+let scans plan =
   let rec go acc = function
-    | Scan { table; _ } -> table :: acc
+    | Scan { table; columns } -> (table, columns) :: acc
     | Filter (_, c) | Project (_, c) | Order_by (_, c) | Limit (_, c) ->
       go acc c
-    | Join { left; right; _ } -> go (go acc left) right
+    | Join { left; right; _ } -> go (go acc right) left
     | Aggregate { input; _ } -> go acc input
   in
-  List.sort_uniq String.compare (go [] plan)
+  go [] plan
+
+let tables plan = List.sort_uniq String.compare (List.map fst (scans plan))
 
 (* A stable query key. With [exact = false] every constant is wildcarded
    to '?' — so the 30 variants of "SELECT ... WHERE c < <k>" share one

@@ -31,6 +31,10 @@ val output_schema : Catalog.t -> t -> Schema.t
     unknown table and [Invalid_argument] for out-of-range column indexes or
     ill-typed expressions. *)
 
+val scans : t -> (string * int list) list
+(** Every scan leaf's table and columns, left to right. Only a join has
+    more than one. *)
+
 val tables : t -> string list
 (** Tables scanned anywhere in the plan (deduplicated). *)
 

@@ -229,18 +229,9 @@ let eager_scan ctx (entry : Catalog.entry) columns =
       ~tracked:(tracked_for ctx entry) ~cols:columns ~rowids
   in
   let all = Chunk.create (Array.append cols [| Column.of_int_array rowids |]) in
-  let chunk_rows = (Catalog.config cat).chunk_rows in
-  let chunks = ref [] in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min chunk_rows (n - !pos) in
-    chunks := Chunk.slice all !pos len :: !chunks;
-    pos := !pos + len
-  done;
-  if n = 0 then chunks := [ all ];
   let slots = Array.of_list (List.mapi (fun i _ -> Mat i) columns) in
   {
-    op = Operator.of_chunks (List.rev !chunks);
+    op = Operator.of_chunk ~chunk_rows:(Catalog.config cat).chunk_rows all;
     slots;
     n_phys = List.length columns + 1;
     rowids = [ (entry.name, List.length columns) ];
@@ -448,9 +439,20 @@ row ids (column never read)"
     let phys = plan_node ctx child in
     { phys with op = Operator.limit n phys.op }
 
+type resolution = {
+  choice : [ `Full_columns | `Shreds | `Multi_shreds ];
+  table : string;
+  selectivity : float;
+  n_rows : int;
+  n_filter_cols : int;
+  n_post_cols : int;
+  textual : bool;
+}
+
 (* Resolve the Adaptive strategy for one query: estimate the selectivity of
    the first filtered scan from accumulated statistics and cost the three
-   concrete strategies (paper future work, §8). *)
+   concrete strategies (paper future work, §8). [None] when no scan is
+   filtered: nothing to cost. *)
 let resolve_adaptive cat (logical : Logical.t) =
   let rec find = function
     | Logical.Filter (pred, Logical.Scan { table; columns }) ->
@@ -466,19 +468,21 @@ let resolve_adaptive cat (logical : Logical.t) =
     | Logical.Scan _ -> None
   in
   match find logical with
-  | None -> Shreds
+  | None -> None
   | Some (pred, table, columns) ->
     let entry = Catalog.get cat table in
     let conjuncts = split_and pred in
-    let sel =
-      Cost_model.estimate_selectivity (Catalog.stats cat) ~table ~columns
-        conjuncts
-    in
     let filter_positions =
       List.sort_uniq Stdlib.compare
         (List.concat_map Expr.columns_used conjuncts)
     in
-    let n_post = List.length columns - List.length filter_positions in
+    let selectivity =
+      Cost_model.estimate_selectivity (Catalog.stats cat) ~table ~columns
+        conjuncts
+    in
+    let n_rows = Catalog.n_rows cat entry in
+    let n_filter_cols = List.length filter_positions in
+    let n_post_cols = max (List.length columns - n_filter_cols) 0 in
     let textual =
       match entry.Catalog.format with
       | Format_kind.Csv _ | Format_kind.Jsonl | Format_kind.Jsonl_array _ ->
@@ -488,57 +492,48 @@ let resolve_adaptive cat (logical : Logical.t) =
         false
     in
     let costs =
-      Cost_model.selection_costs ~n_rows:(Catalog.n_rows cat entry)
-        ~n_filter_cols:(List.length filter_positions)
-        ~n_post_cols:(max n_post 0) ~selectivity:sel ~textual
+      Cost_model.selection_costs ~n_rows ~n_filter_cols ~n_post_cols
+        ~selectivity ~textual
     in
-    let resolved =
-      match Cost_model.choose costs with
-      | `Full_columns -> Full_columns
-      | `Shreds -> Shreds
-      | `Multi_shreds -> Multi_shreds
+    let r =
+      { choice = Cost_model.choose costs; table; selectivity; n_rows;
+        n_filter_cols; n_post_cols; textual }
     in
     Raw_obs.Decisions.record ~site:"planner.adaptive"
-      ~choice:(shred_strategy_to_string resolved)
+      ~choice:(Cost_model.strategy_name r.choice)
       [
         ("table", table);
-        ("selectivity", Printf.sprintf "%.4f" sel);
+        ("selectivity", Printf.sprintf "%.4f" r.selectivity);
         ("cost_full", Printf.sprintf "%.1f" costs.Cost_model.full);
         ("cost_shreds", Printf.sprintf "%.1f" costs.Cost_model.shreds);
         ("cost_multishreds", Printf.sprintf "%.1f" costs.Cost_model.multi_shreds);
-        (* the cost-model inputs ride along so the executor can re-cost the
-           choice at the observed selectivity (misprediction detection) *)
-        ("n_rows", string_of_int (Catalog.n_rows cat entry));
-        ("n_filter_cols", string_of_int (List.length filter_positions));
-        ("n_post_cols", string_of_int (max n_post 0));
-        ("textual", if textual then "true" else "false");
+        ("n_rows", string_of_int r.n_rows);
+        ("n_filter_cols", string_of_int r.n_filter_cols);
+        ("n_post_cols", string_of_int r.n_post_cols);
+        ("textual", if r.textual then "true" else "false");
       ];
-    resolved
+    Some r
 
-let rec has_join = function
-  | Logical.Join _ -> true
-  | Logical.Scan _ -> false
-  | Logical.Filter (_, c)
-  | Logical.Project (_, c)
-  | Logical.Order_by (_, c)
-  | Logical.Limit (_, c) ->
-    has_join c
-  | Logical.Aggregate { input; _ } -> has_join input
+let resolve cat opts logical =
+  match opts.shreds with
+  | Full_columns | Shreds | Multi_shreds -> (opts, None)
+  | Adaptive ->
+    let resolution = resolve_adaptive cat logical in
+    let shreds =
+      match resolution with
+      | None | Some { choice = `Shreds; _ } -> Shreds
+      | Some { choice = `Full_columns; _ } -> Full_columns
+      | Some { choice = `Multi_shreds; _ } -> Multi_shreds
+    in
+    Raw_storage.Io_stats.incr
+      (Raw_obs.Metrics.id Raw_obs.Metrics.planner_adaptive
+      ^ shred_strategy_to_string shreds);
+    ({ opts with shreds }, resolution)
 
 let plan_with_trace cat opts logical =
-  let opts =
-    match opts.shreds with
-    | Adaptive ->
-      let resolved = resolve_adaptive cat logical in
-      Raw_storage.Io_stats.incr
-        (Raw_obs.Metrics.id Raw_obs.Metrics.planner_adaptive
-        ^ shred_strategy_to_string resolved);
-      { opts with shreds = resolved }
-    | Full_columns | Shreds | Multi_shreds -> opts
-  in
-  let ctx =
-    { cat; opts; has_join = has_join logical; restricted = []; trace = [] }
-  in
+  let opts, _ = resolve cat opts logical in
+  let has_join = List.compare_length_with (Logical.scans logical) 1 > 0 in
+  let ctx = { cat; opts; has_join; restricted = []; trace = [] } in
   tr ctx "strategy: access=%s shreds=%s join=%s indexes=%s"
     (Access.mode_to_string opts.access)
     (shred_strategy_to_string opts.shreds)

@@ -53,9 +53,31 @@ val default : options
 val shred_strategy_to_string : shred_strategy -> string
 val join_policy_to_string : join_policy -> string
 
+type resolution = {
+  choice : [ `Full_columns | `Shreds | `Multi_shreds ];
+  table : string;  (** the filtered scan the choice was costed on *)
+  selectivity : float;  (** the planner's estimate, unrounded *)
+  n_rows : int;
+  n_filter_cols : int;
+  n_post_cols : int;
+  textual : bool;
+}
+(** How an [Adaptive] strategy was resolved: the {!Cost_model} choice
+    and every input it was costed from, so the executor can re-cost it
+    at the observed selectivity. *)
+
+val resolve : Catalog.t -> options -> Logical.t -> options * resolution option
+(** Resolve an [Adaptive] strategy for this query: the options with a
+    concrete [shreds], and the resolution ([None] when the query has no
+    filtered scan to cost — it runs [Shreds]). Records the
+    [planner.adaptive] decision and bumps
+    [planner.adaptive_chose_<strategy>]. Concrete strategies pass through
+    unchanged with [None]. *)
+
 val plan : Catalog.t -> options -> Logical.t -> Operator.t * Schema.t
 (** The executable operator tree and its output schema. The operator is
-    single-use (drain it once). *)
+    single-use (drain it once). An [Adaptive] strategy is resolved first
+    (see {!resolve}). *)
 
 val plan_with_trace :
   Catalog.t -> options -> Logical.t -> Operator.t * Schema.t * string list

@@ -110,6 +110,7 @@ let register_ibx t ~name ~path ~columns =
 let register_hep t ~name_prefix ~path =
   Catalog.register_hep t.catalog ~name_prefix ~path
 
+(* the one place a cancel token is armed from the configured deadline *)
 let fresh_cancel t =
   match (Catalog.config t.catalog).Config.deadline with
   | Some s -> Cancel.create ~deadline_seconds:s ()

@@ -80,12 +80,10 @@ val run_plan :
   t -> Logical.t -> Executor.report
 (** Like {!query} over an already-bound plan; [pre_spans] forwards to
     {!Executor.run} (used by {!query} to stitch the bind phase into the
-    trace when {!Config.observe} is on). *)
-
-val fresh_cancel : t -> Raw_storage.Cancel.t
-(** A new cancel token armed from {!Config.deadline} ({!Raw_storage.Cancel.never}
-    when no deadline is configured) — what {!query} arms when no [cancel]
-    is passed. The server arms one per shared-scan batch. *)
+    trace when {!Config.observe} is on). Without [cancel], the run gets a
+    fresh token armed from {!Config.deadline}. Every plan the engine
+    executes — one-shot, served, or a {!Shared_scan} union — runs
+    here. *)
 
 val with_admission :
   t -> cancel:Raw_storage.Cancel.t -> (unit -> 'a) -> 'a
@@ -93,8 +91,8 @@ val with_admission :
     unset): counts the caller against the concurrency limit, raising
     {!Raw_storage.Resource_error.Overloaded} beyond it, then serializes on
     the execution lock, checking [cancel] while waiting. Exposed so tests
-    and drivers can hold an admission slot deterministically; {!query} and
-    {!run_plan} use it internally. *)
+    can hold an admission slot deterministically; {!run_plan} — the one
+    path that executes a plan — uses it internally. *)
 
 val bind_cached : t -> string -> Logical.t
 (** Parse + bind [sql] through the statement cache: a repeated statement

@@ -246,8 +246,6 @@ end
 
 type t = {
   db : Raw_db.t;
-  max_pending : int;
-  cache_results : bool;
   (* armor knobs, copied out of the db's Config at serve time *)
   max_request_bytes : int;
   request_timeout : float option;
@@ -259,7 +257,7 @@ type t = {
   started : float;
   window : Window.t; (* ring of periodic counter snapshots *)
   traces : Trace_ring.t; (* slowest recent request traces *)
-  log : Decisions.handle; (* always-on armor audit log *)
+  armor : Decisions.record Queue.t; (* newest [armor_keep], under qm *)
   qm : Mutex.t;
   qc : Condition.t;
   mutable queue : pending list; (* newest first *)
@@ -269,6 +267,18 @@ type t = {
 
 (* seconds a shed client should wait before retrying *)
 let retry_hint = 0.05
+
+(* requests the batcher queue holds before shedding with [retry_hint] *)
+let max_pending = 1024
+
+(* armor records kept for the [stats] op: the newest, so the log never
+   freezes however many events a long-lived server absorbs *)
+let armor_keep = 32
+
+let log_armor t ~site ~choice inputs =
+  Mutex.protect t.qm (fun () ->
+      Queue.push { Decisions.site; choice; inputs } t.armor;
+      if Queue.length t.armor > armor_keep then ignore (Queue.pop t.armor))
 
 (* ------------------------------------------------------------------ *)
 (* Outcomes                                                            *)
@@ -314,7 +324,7 @@ let await p =
 
 let try_put_result t plan key chunk schema =
   match key with
-  | Some key when t.cache_results ->
+  | Some key ->
     Stmt_cache.put_result (Raw_db.stmt_cache t.db) (Raw_db.catalog t.db) ~key
       ~tables:(Logical.tables plan) chunk schema
   | _ -> ()
@@ -336,48 +346,46 @@ let record_batch_span ?child p ~t_batch =
     Trace.record h ~id:batch_id ~parent:root ~start:t_batch
       ~dur:(Timing.now () -. t_batch) "batch"
 
+(* Close one executed member: its engine time, its batch span, then its
+   answer. *)
+let answer p ~t_batch ~child:((_, _, dur) as child) o =
+  p.timing.exec_s <- dur;
+  record_batch_span p ~t_batch ~child;
+  fulfill p o
+
 let run_individual t ~t_batch (p, plan, key) =
   let t0 = Timing.now () in
-  match Raw_db.run_plan t.db plan with
-  | report ->
-    let dur = Timing.now () -. t0 in
-    p.timing.exec_s <- dur;
-    record_batch_span p ~t_batch ~child:("execute", t0, dur);
-    try_put_result t plan key report.Executor.chunk report.Executor.schema;
-    fulfill p
+  let result =
+    match Raw_db.run_plan t.db plan with r -> Ok r | exception e -> Error e
+  in
+  let child = ("execute", t0, Timing.now () -. t0) in
+  match result with
+  | Ok r ->
+    try_put_result t plan key r.Executor.chunk r.Executor.schema;
+    answer p ~t_batch ~child
       (Rows
          {
-           chunk = report.Executor.chunk;
-           schema = report.Executor.schema;
-           seconds = report.Executor.total_seconds;
+           chunk = r.Executor.chunk;
+           schema = r.Executor.schema;
+           seconds = r.Executor.total_seconds;
            cached = false;
            shared = false;
-           approx = report.Executor.approx;
+           approx = r.Executor.approx;
          })
-  | exception e ->
-    let dur = Timing.now () -. t0 in
-    p.timing.exec_s <- dur;
-    record_batch_span p ~t_batch ~child:("execute", t0, dur);
-    fulfill p (outcome_of_exn e)
+  | Error e -> answer p ~t_batch ~child (outcome_of_exn e)
 
 let run_shared t ~t_batch members =
   let plans = List.map (fun (_, plan, _) -> plan) members in
   let t0 = Timing.now () in
-  match
-    let cancel = Raw_db.fresh_cancel t.db in
-    Raw_db.with_admission t.db ~cancel (fun () ->
-        Shared_scan.run_group (Raw_db.catalog t.db) (Raw_db.options t.db) plans)
-  with
+  match Shared_scan.run_group t.db plans with
   | group ->
-    let dur = Timing.now () -. t0 in
+    let child = ("shared-scan", t0, Timing.now () -. t0) in
     Metrics.incr Metrics.server_batches;
     Metrics.add Metrics.server_batched_queries (List.length members);
     List.iter2
       (fun (p, plan, key) (r : Shared_scan.member_result) ->
-        p.timing.exec_s <- dur;
-        record_batch_span p ~t_batch ~child:("shared-scan", t0, dur);
         try_put_result t plan key r.chunk r.schema;
-        fulfill p
+        answer p ~t_batch ~child
           (Rows
              {
                chunk = r.chunk;
@@ -388,13 +396,21 @@ let run_shared t ~t_batch members =
                approx = None;
              }))
       members group.Shared_scan.results
+  | exception
+      (( Resource_error.Deadline_exceeded _ | Resource_error.Cancelled _
+       | Resource_error.Overloaded _ ) as e) ->
+    (* a resource verdict on the union run is every member's: re-running
+       them alone would restart the deadline the group already spent *)
+    let child = ("shared-scan", t0, Timing.now () -. t0) in
+    List.iter
+      (fun (p, _, _) -> answer p ~t_batch ~child (outcome_of_exn e))
+      members
   | exception e ->
     (* one poisoned member must not take the group down with it: replay
        the members individually so each gets its own verdict (the
        poisoned one fails alone, the rest still answer) *)
     Metrics.incr Metrics.server_shared_fallbacks;
-    Decisions.record_into t.log ~site:"server.shared_scan"
-      ~choice:"fallback_individual"
+    log_armor t ~site:"server.shared_scan" ~choice:"fallback_individual"
       [
         ("members", string_of_int (List.length members));
         ("error", Printexc.to_string e);
@@ -444,9 +460,7 @@ let process_batch t batch =
     List.filter_map
       (fun (p, plan) ->
         let key =
-          if t.cache_results && not approx_on then
-            Stmt_cache.result_key cat plan
-          else None
+          if not approx_on then Stmt_cache.result_key cat plan else None
         in
         match Option.map (Stmt_cache.find_result cache) key with
         | Some (Some (chunk, schema)) ->
@@ -526,8 +540,7 @@ let rec batcher_supervisor t =
   | () -> ()
   | exception e ->
     Metrics.incr Metrics.server_batcher_restarts;
-    Decisions.record_into t.log ~site:"server.watchdog"
-      ~choice:"batcher_restart"
+    log_armor t ~site:"server.watchdog" ~choice:"batcher_restart"
       [ ("error", Printexc.to_string e) ];
     Printf.eprintf "rawq serve: batcher restarted after: %s\n%!"
       (Printexc.to_string e);
@@ -653,7 +666,7 @@ let submit t session_id ~trace ~timing sql =
   let accepted =
     Mutex.protect t.qm (fun () ->
         if t.stopping then `Stopping
-        else if List.length t.queue >= t.max_pending then `Full
+        else if List.length t.queue >= max_pending then `Full
         else begin
           t.queue <- p :: t.queue;
           Condition.signal t.qc;
@@ -665,14 +678,14 @@ let submit t session_id ~trace ~timing sql =
   | `Stopping -> err ~kind:"shutting_down" 5 "server is shutting down"
   | `Full ->
     Metrics.incr Metrics.server_shed_requests;
-    Decisions.record_into t.log ~site:"server.shed" ~choice:"queue_full"
+    log_armor t ~site:"server.shed" ~choice:"queue_full"
       [
         ("session", string_of_int session_id);
-        ("max_pending", string_of_int t.max_pending);
+        ("max_pending", string_of_int max_pending);
       ];
     err ~kind:"overloaded" ~retry_after:retry_hint 5
       (Printf.sprintf "overloaded: %d requests queued; retry later"
-         t.max_pending)
+         max_pending)
 
 (* p50/p95/p99 of a (possibly delta) snapshot; keys omitted when the
    histogram is empty there, so "p99 present" means "requests happened". *)
@@ -725,11 +738,7 @@ let stats_response t id =
   in
   (* last few armor records: why recent connections were shed/reaped *)
   let recent =
-    let all = Decisions.records t.log in
-    let rec drop k l =
-      match l with _ :: tl when k > 0 -> drop (k - 1) tl | l -> l
-    in
-    drop (List.length all - 32) all
+    Mutex.protect t.qm (fun () -> List.of_seq (Queue.to_seq t.armor))
   in
   Jsons.Obj
     [
@@ -961,7 +970,7 @@ let handle_session t session_id fd =
           `Continue)
   in
   let reap choice =
-    Decisions.record_into t.log ~site:"server.reap" ~choice
+    log_armor t ~site:"server.reap" ~choice
       [
         ("session", string_of_int session_id);
         ( "limit_seconds",
@@ -985,7 +994,7 @@ let handle_session t session_id fd =
       (* typed response, session stays usable: the oversized line was
          drained, the next line parses normally *)
       Metrics.incr Metrics.server_too_large;
-      Decisions.record_into t.log ~site:"server.protocol" ~choice:"too_large"
+      log_armor t ~site:"server.protocol" ~choice:"too_large"
         [
           ("session", string_of_int session_id);
           ("limit_bytes", string_of_int t.max_request_bytes);
@@ -1056,7 +1065,7 @@ let ticker_loop t =
   in
   loop ()
 
-let serve ?(max_pending = 1024) ?(cache_results = true) ~socket_path db =
+let serve ~socket_path db =
   (* a client vanishing mid-write must not kill the process *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   (try Unix.unlink socket_path with Unix.Unix_error _ -> ());
@@ -1065,8 +1074,6 @@ let serve ?(max_pending = 1024) ?(cache_results = true) ~socket_path db =
   let t =
     {
       db;
-      max_pending;
-      cache_results;
       max_request_bytes = cfg.Config.max_request_bytes;
       request_timeout = cfg.Config.request_timeout;
       idle_timeout = cfg.Config.idle_timeout;
@@ -1076,7 +1083,7 @@ let serve ?(max_pending = 1024) ?(cache_results = true) ~socket_path db =
       started = Timing.now ();
       window = Window.create ~interval:(Float.max cfg.Config.telemetry_tick 0.01) ();
       traces = Trace_ring.create ~cap:cfg.Config.trace_retain;
-      log = Decisions.create ~cap:65536 ();
+      armor = Queue.create ();
       qm = Mutex.create ();
       qc = Condition.create ();
       queue = [];
@@ -1147,8 +1154,7 @@ let serve ?(max_pending = 1024) ?(cache_results = true) ~socket_path db =
                 sessions := Thread.create (handle_session t id) fd :: !sessions
               else begin
                 Metrics.incr Metrics.server_shed_sessions;
-                Decisions.record_into t.log ~site:"server.shed"
-                  ~choice:"session_cap"
+                log_armor t ~site:"server.shed" ~choice:"session_cap"
                   [
                     ( "max_sessions",
                       match t.max_sessions with

@@ -50,7 +50,7 @@
     - at most [Config.max_sessions] sessions run concurrently; a
       connection past the cap receives one code-5 line with
       ["retry_after"] and is closed (shed at the door, counted under
-      [server.shed_sessions]). Past [max_pending] queued requests the
+      [server.shed_sessions]). Past 1024 queued requests the
       response is the same shed shape ([server.shed_requests]).
       Per-session in-flight is structurally 1: a session's requests are
       read and answered strictly in order, so pipelined bytes wait in
@@ -61,13 +61,16 @@
     - the batcher thread runs under a watchdog: an escaped exception
       fails the in-flight requests — never the process — and the thread
       is relaunched ([server.batcher_restarts]); a shared-scan group
-      that raises is replayed member-by-member so only the poisoned
-      request fails ([server.shared_fallbacks]).
+      whose union run fails with a resource error (deadline, cancelled,
+      overloaded) answers every member with that error, and one that
+      raises anything else is replayed member-by-member so only the
+      poisoned request fails ([server.shared_fallbacks]).
 
-    Every armor event is also recorded into a server-owned
-    {!Raw_obs.Decisions} handle (sites [server.shed], [server.reap],
-    [server.protocol], [server.watchdog], [server.shared_scan]); the
-    [stats] op returns the most recent records alongside the counters.
+    Every armor event is also recorded as a {!Raw_obs.Decisions.record}
+    (sites [server.shed], [server.reap], [server.protocol],
+    [server.watchdog], [server.shared_scan]); the server keeps the newest
+    32 and the [stats] op returns them, oldest first, alongside the
+    counters.
 
     {b Continuous telemetry.} Governed by two {!Config} knobs:
     - [Config.telemetry_tick] (default 1 s; 0 disables): a ticker thread
@@ -116,9 +119,10 @@
     for any that changed ({!Raw_db.refresh_tables}), (3) answers what it
     can from the result cache, and (4) groups the rest by table: groups of
     two or more shareable queries execute as one {!Shared_scan} traversal
-    under one admission slot, the rest run individually through the
-    normal executor. The batcher is the only thread driving the engine,
-    so the adaptive state keeps its single-writer discipline.
+    — itself one ordinary executor run, under one admission slot and one
+    deadline — and the rest run individually. The batcher is the only
+    thread driving the engine, so the adaptive state keeps its
+    single-writer discipline.
 
     {b Shutdown.} A [{"op": "shutdown"}] request answers, stops the accept
     loop, drains in-flight queries, half-closes the sessions and removes
@@ -133,19 +137,13 @@
     [cache.*] family from {!Stmt_cache}. Abnormal session ends are also
     logged to stderr with their session id and cause. *)
 
-val serve :
-  ?max_pending:int ->
-  ?cache_results:bool ->
-  socket_path:string ->
-  Raw_db.t ->
-  unit
+val serve : socket_path:string -> Raw_db.t -> unit
 (** Listen on [socket_path] (an existing socket file is replaced) and
     block until a client requests shutdown. A lone query or cache hit on
     an idle server is answered at once; queries that queue while a batch
-    executes share the next one. [max_pending] (default 1024) bounds the
-    queue, beyond which requests are rejected with code 5 and a 50 ms
-    [retry_after] hint; [cache_results] (default [true]) enables the
-    result cache. The armor knobs ([max_request_bytes],
+    executes share the next one. The queue holds at most 1024 requests,
+    beyond which requests are rejected with code 5 and a 50 ms
+    [retry_after] hint. The armor knobs ([max_request_bytes],
     [request_timeout], [idle_timeout], [max_sessions]) come from the
     database's {!Config}. Raises [Unix.Unix_error] if the socket cannot
     be bound. *)

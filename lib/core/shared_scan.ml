@@ -21,43 +21,7 @@ type group_result = {
    files, and its build side must be fully drained before the probe side
    streams, which breaks the one-traversal-feeds-all shape. *)
 let shareable_table plan =
-  let rec no_join = function
-    | Logical.Join _ -> false
-    | Logical.Scan _ -> true
-    | Logical.Filter (_, c) | Logical.Project (_, c)
-    | Logical.Order_by (_, c) | Logical.Limit (_, c) ->
-      no_join c
-    | Logical.Aggregate { input; _ } -> no_join input
-  in
-  match Logical.tables plan with
-  | [ t ] when no_join plan -> Some t
-  | _ -> None
-
-let rec scan_columns acc = function
-  | Logical.Scan { columns; _ } -> List.rev_append columns acc
-  | Logical.Filter (_, c) | Logical.Project (_, c)
-  | Logical.Order_by (_, c) | Logical.Limit (_, c) ->
-    scan_columns acc c
-  | Logical.Aggregate { input; _ } -> scan_columns acc input
-  | Logical.Join { left; right; _ } -> scan_columns (scan_columns acc left) right
-
-(* an exhausted operator yields the 0-column empty chunk; give empty
-   results their proper schema-shaped arity (same fix as Executor) *)
-let fix_empty schema chunk =
-  if Chunk.n_rows chunk = 0 && Chunk.n_cols chunk <> Schema.arity schema then
-    Chunk.create
-      (Array.of_list
-         (List.map
-            (fun (f : Schema.field) -> Column.of_values f.dtype [])
-            (Schema.fields schema)))
-  else chunk
-
-let index_in union c =
-  let rec go i = function
-    | [] -> invalid_arg "Shared_scan: column not in union"
-    | x :: rest -> if x = c then i else go (i + 1) rest
-  in
-  go 0 union
+  match Logical.scans plan with [ (t, _) ] -> Some t | _ -> None
 
 (* Evaluate one member plan over the materialized union chunks. The
    lowering mirrors the planner's operator emission for non-scan nodes;
@@ -67,16 +31,10 @@ let eval_member ~chunk_rows ~union ~master plan schema =
     (* a column-less scan (count star) still needs the row count, which a
        chunk derives from its columns: feed the union's first column *)
     let columns = match columns with [] -> [ List.hd union ] | cs -> cs in
-    let positions = List.map (index_in union) columns in
-    let n = Chunk.n_rows master in
-    let projected = Chunk.project master positions in
-    let rec chunks pos acc =
-      if pos >= n then List.rev acc
-      else
-        let len = min chunk_rows (n - pos) in
-        chunks (pos + len) (Chunk.slice projected pos len :: acc)
+    let positions =
+      List.map (fun c -> Option.get (List.find_index (( = ) c) union)) columns
     in
-    Operator.of_chunks (if n = 0 then [ projected ] else chunks 0 [])
+    Operator.of_chunk ~chunk_rows (Chunk.project master positions)
   in
   let rec go = function
     | Logical.Scan { columns; _ } -> feed columns
@@ -91,45 +49,37 @@ let eval_member ~chunk_rows ~union ~master plan schema =
     | Logical.Limit (n, c) -> Operator.limit n (go c)
     | Logical.Join _ -> invalid_arg "Shared_scan: join plans are not shareable"
   in
-  { chunk = fix_empty schema (Operator.to_chunk (go plan)); schema }
+  { chunk = Executor.drain schema (go plan); schema }
 
-let run_group cat options plans =
+let run_group db plans =
+  let cat = Raw_db.catalog db in
   let table =
-    match plans with
-    | [] -> invalid_arg "Shared_scan.run_group: empty group"
-    | p :: rest ->
-      let t =
-        match shareable_table p with
-        | Some t -> t
-        | None -> invalid_arg "Shared_scan.run_group: unshareable plan"
-      in
-      List.iter
-        (fun q ->
-          if shareable_table q <> Some t then
-            invalid_arg "Shared_scan.run_group: mixed tables in group")
-        rest;
-      t
+    match List.sort_uniq compare (List.map shareable_table plans) with
+    | [ Some t ] -> t
+    | _ -> invalid_arg "Shared_scan.run_group: plans must share one table"
   in
   let t0 = Raw_storage.Timing.now () in
   let union =
-    match List.sort_uniq compare (List.fold_left scan_columns [] plans) with
+    match
+      List.sort_uniq compare
+        (List.concat_map (fun p -> List.concat_map snd (Logical.scans p)) plans)
+    with
     | [] -> [ 0 ] (* every member is count-star-shaped: row count still needed *)
     | cs -> cs
   in
-  (* one traversal of the raw file, with the session's full access-path
-     machinery (posmaps, shreds, JIT templates) behind it *)
   let schemas = List.map (Logical.output_schema cat) plans in
-  let op, _ = Planner.plan cat options (Logical.Scan { table; columns = union }) in
-  let master = Operator.to_chunk op in
+  (* one traversal of the raw file: an ordinary query over the union scan,
+     with everything a one-shot query gets (admission, deadline, the
+     session's posmaps, shreds and JIT templates, io/compile accounting,
+     history) *)
+  let master =
+    (Raw_db.run_plan db (Logical.Scan { table; columns = union }))
+      .Executor.chunk
+  in
   let chunk_rows = (Catalog.config cat).Config.chunk_rows in
   let results =
     List.map2 (eval_member ~chunk_rows ~union ~master) plans schemas
   in
-  Raw_obs.Decisions.record ~site:"scan.shared" ~choice:table
-    [
-      ("queries", string_of_int (List.length plans));
-      ("columns", String.concat "," (List.map string_of_int union));
-    ];
   {
     results;
     rows_scanned = Chunk.n_rows master;

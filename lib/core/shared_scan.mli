@@ -2,13 +2,17 @@
 
     The server groups the queries of one batch — those that queued while
     the previous batch executed — by the raw file they read; a group
-    executes as {e one} pass that materializes the union of the members'
-    scan columns (through the session's full adaptive access-path
-    machinery — positional maps, shreds, JIT templates), then replays the
-    materialized columns as each member's scan-output stream. Members therefore cost one traversal + cheap
+    executes as {e one} query over the union of the members' scan
+    columns, then replays the materialized columns as each member's
+    scan-output stream. Members therefore cost one traversal + cheap
     in-memory operator evaluation instead of N traversals — the paper's
     repeated-access economics applied across concurrent clients instead of
     across time.
+
+    The union traversal is an ordinary {!Raw_db.run_plan}: admission, the
+    configured deadline, profiling, io/compile accounting, the history
+    record and empty-result shaping apply to it exactly as to a one-shot
+    query. This module only computes the union and replays members.
 
     Results are bit-identical to running each member alone: all members
     share one table and one error policy, so the master pass enumerates
@@ -31,10 +35,10 @@ type group_result = {
   wall_seconds : float;
 }
 
-val run_group : Catalog.t -> Planner.options -> Logical.t list -> group_result
+val run_group : Raw_db.t -> Logical.t list -> group_result
 (** Execute a group of shareable plans over one traversal. All plans must
     be {!shareable_table} on the {e same} table ([Invalid_argument]
-    otherwise). The caller is responsible for admission control and for
-    running groups one at a time (the engine's adaptive state is
-    single-writer); the server wraps this in
-    {!Raw_db.with_admission}. *)
+    otherwise). Errors of the union run propagate unchanged — a
+    {!Raw_storage.Resource_error} (deadline, cancelled, overloaded) is
+    the whole group's verdict. The caller runs groups one at a time (the
+    engine's adaptive state is single-writer). *)

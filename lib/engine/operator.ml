@@ -38,6 +38,21 @@ let of_chunks chunks =
         rest := tl;
         Some c)
 
+let of_chunk ~chunk_rows c =
+  let n = Chunk.n_rows c in
+  if n = 0 then of_chunks [ c ]
+  else
+    let pos = ref 0 in
+    of_fn ()
+      ~next:(fun () ->
+        if !pos >= n then None
+        else begin
+          let len = min chunk_rows (n - !pos) in
+          let slice = Chunk.slice c !pos len in
+          pos := !pos + len;
+          Some slice
+        end)
+
 let empty = { next_fn = (fun () -> None); close_fn = (fun () -> ()) }
 
 let rec next_nonempty input =
@@ -312,7 +327,9 @@ let group_by ~keys ~aggs input =
         drain ();
         input.close_fn ();
         let groups_in_order = List.rev !order in
-        if !n_groups = 0 then Some Chunk.empty
+        (* no groups: exhausted, like any operator with nothing to emit
+           (a 0-column chunk would break a projection above) *)
+        if !n_groups = 0 then None
         else begin
           let n_keys = List.length keys in
           let key_cols =
@@ -469,7 +486,7 @@ let sort ~by input =
         input.close_fn ();
         let all = Chunk.concat (List.rev !chunks) in
         let n = Chunk.n_rows all in
-        if n = 0 then Some all
+        if n = 0 then None
         else begin
           let idx = Array.init n (fun i -> i) in
           let cmp i j =

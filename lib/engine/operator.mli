@@ -16,6 +16,11 @@ val close : t -> unit
 (** {1 Sources} *)
 
 val of_chunks : Chunk.t list -> t
+
+val of_chunk : chunk_rows:int -> Chunk.t -> t
+(** Stream one materialized chunk in slices of at most [chunk_rows] rows;
+    an empty chunk streams as itself, keeping its columns. *)
+
 val of_fn : next:(unit -> Chunk.t option) -> ?close:(unit -> unit) -> unit -> t
 val empty : t
 

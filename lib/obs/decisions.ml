@@ -35,21 +35,19 @@ let enabled () = Domain.DLS.get key <> None
 
 let fork () = Domain.DLS.get key
 
-let record_into h ~site ~choice inputs =
-  Mutex.protect h.mutex (fun () ->
-      if h.count < h.cap then begin
-        h.recorded <- { site; choice; inputs } :: h.recorded;
-        h.count <- h.count + 1
-      end
-      else begin
-        h.dropped <- h.dropped + 1;
-        Raw_storage.Io_stats.incr "obs.decisions_dropped"
-      end)
-
 let record ~site ~choice inputs =
   match Domain.DLS.get key with
   | None -> ()
-  | Some h -> record_into h ~site ~choice inputs
+  | Some h ->
+    Mutex.protect h.mutex (fun () ->
+        if h.count < h.cap then begin
+          h.recorded <- { site; choice; inputs } :: h.recorded;
+          h.count <- h.count + 1
+        end
+        else begin
+          h.dropped <- h.dropped + 1;
+          Raw_storage.Io_stats.incr "obs.decisions_dropped"
+        end)
 
 let records h = Mutex.protect h.mutex (fun () -> List.rev h.recorded)
 let dropped h = Mutex.protect h.mutex (fun () -> h.dropped)

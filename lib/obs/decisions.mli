@@ -34,13 +34,6 @@ val fork : unit -> handle option
 val record : site:string -> choice:string -> (string * string) list -> unit
 (** Append to the ambient log; no-op when none is installed. *)
 
-val record_into :
-  handle -> site:string -> choice:string -> (string * string) list -> unit
-(** Append to an explicit handle, bypassing the ambient lookup — for
-    long-lived components (the server's armor log) that own a handle
-    outside any query scope. Same bound and drop accounting as
-    {!record}. *)
-
 val records : handle -> record list
 (** In recording order (worker interleavings are scheduler-dependent;
     sort or filter by {!record.site} for deterministic assertions). *)

@@ -248,6 +248,49 @@ let workload_suite =
             (Calibration.of_records records)
         in
         Alcotest.(check bool) "calibration legend" true (contains cal "selratio"));
+    Alcotest.test_case "cost_predicted is the planner's cost for its choice"
+      `Quick (fun () ->
+        let path = Test_util.fresh_path ".jsonl" in
+        let config =
+          {
+            Config.default with
+            Config.history_path = Some path;
+            observe = true;
+          }
+        in
+        let db = Test_util.grid_csv_db ~config ~n:20_000 ~m:4 () in
+        (* a first scan gives the planner column statistics, so the
+           estimate below is a range fraction, not the 0.5 default *)
+        ignore (Raw_db.query db "SELECT MIN(col0), MAX(col1) FROM t");
+        let options =
+          { Planner.default with Planner.shreds = Planner.Adaptive }
+        in
+        let r =
+          Raw_db.query ~options db
+            "SELECT MAX(col1), MAX(col2), MAX(col3) FROM t WHERE col0 < 123457"
+        in
+        let d =
+          match
+            Raw_obs.Decisions.by_site r.Executor.decisions "planner.adaptive"
+          with
+          | d :: _ -> d
+          | [] -> Alcotest.fail "no planner.adaptive decision"
+        in
+        let planned =
+          match
+            List.assoc_opt ("cost_" ^ d.Raw_obs.Decisions.choice)
+              d.Raw_obs.Decisions.inputs
+          with
+          | Some c -> float_of_string c
+          | None -> Alcotest.fail "no cost input for the choice"
+        in
+        let records, _ = History.load path in
+        match List.rev records with
+        | { History.cost_predicted = Some predicted; strategy; _ } :: _ ->
+          Alcotest.(check string)
+            "strategy" d.Raw_obs.Decisions.choice strategy;
+          Alcotest.(check (float 0.05)) "cost_predicted" planned predicted
+        | _ -> Alcotest.fail "last record has no cost_predicted");
     Alcotest.test_case "deadline-exceeded query still lands in history" `Slow
       (fun () ->
         let path = Test_util.fresh_path ".jsonl" in

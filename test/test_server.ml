@@ -59,7 +59,7 @@ let shared_scan_suite =
         let db = db_over path in
         let plans = List.map (Raw_db.bind_cached db) member_queries in
         let group =
-          Shared_scan.run_group (Raw_db.catalog db) (Raw_db.options db) plans
+          Shared_scan.run_group db plans
         in
         Alcotest.(check int) "all members answered"
           (List.length member_queries)
@@ -75,7 +75,7 @@ let shared_scan_suite =
         (* and again through the same session: adaptive state warmed by the
            shared pass must not change answers *)
         let group2 =
-          Shared_scan.run_group (Raw_db.catalog db) (Raw_db.options db) plans
+          Shared_scan.run_group db plans
         in
         List.iteri
           (fun i (want, (got : Shared_scan.member_result)) ->
@@ -95,10 +95,76 @@ let shared_scan_suite =
           ]
         in
         match
-          Shared_scan.run_group (Raw_db.catalog db) (Raw_db.options db) plans
+          Shared_scan.run_group db plans
         with
         | _ -> Alcotest.fail "expected Invalid_argument"
         | exception Invalid_argument _ -> ());
+    Alcotest.test_case "a shared group honours the configured deadline"
+      `Quick (fun () ->
+        let path = Test_util.write_csv_rows (mk_rows 20_000) in
+        let config = { Config.default with Config.deadline = Some 1e-6 } in
+        let db = Raw_db.create ~config () in
+        Raw_db.register_csv db ~name:"t" ~path
+          ~columns:(Test_util.int_cols 4) ();
+        let plans = List.map (Raw_db.bind_cached db) member_queries in
+        match Shared_scan.run_group db plans with
+        | _ -> Alcotest.fail "expected Deadline_exceeded"
+        | exception Raw_storage.Resource_error.Deadline_exceeded _ -> ());
+    Alcotest.test_case "a shared group over an empty file answers like one-shot"
+      `Quick (fun () ->
+        let path = Test_util.write_csv_rows [] in
+        let expected =
+          List.map (fun q -> Raw_db.sql (db_over path) q) member_queries
+        in
+        let db = db_over path in
+        let group =
+          Shared_scan.run_group db
+            (List.map (Raw_db.bind_cached db) member_queries)
+        in
+        Alcotest.(check int) "no rows scanned" 0 group.Shared_scan.rows_scanned;
+        List.iteri
+          (fun i (want, (got : Shared_scan.member_result)) ->
+            Test_util.check_chunk
+              (Printf.sprintf "empty member %d: %s" i
+                 (List.nth member_queries i))
+              want got.Shared_scan.chunk)
+          (List.combine expected group.Shared_scan.results));
+    Alcotest.test_case
+      "a cold shared group charges io and history like its union scan" `Quick
+      (fun () ->
+        let path = Test_util.write_csv_rows (mk_rows 20_000) in
+        let history = Test_util.fresh_path ".jsonl" in
+        let config =
+          { Config.default with Config.history_path = Some history }
+        in
+        let io_of f =
+          let io0 = Io_stats.get_float "io.simulated_seconds" in
+          f ();
+          Io_stats.get_float "io.simulated_seconds" -. io0
+        in
+        let shared_io =
+          let db = Raw_db.create ~config () in
+          Raw_db.register_csv db ~name:"t" ~path
+            ~columns:(Test_util.int_cols 4) ();
+          let plans = List.map (Raw_db.bind_cached db) member_queries in
+          io_of (fun () -> ignore (Shared_scan.run_group db plans))
+        in
+        (* the member queries read col0..col2: that is the union scan *)
+        let one_shot_io =
+          let db = db_over path in
+          io_of (fun () ->
+              ignore
+                (Raw_db.run_plan db
+                   (Logical.Scan { table = "t"; columns = [ 0; 1; 2 ] })))
+        in
+        Alcotest.(check bool) "a cold traversal charges io" true
+          (one_shot_io > 0.);
+        Alcotest.(check (float 1e-9))
+          "same io as one-shot" one_shot_io shared_io;
+        let records, skipped = Raw_obs.History.load history in
+        Alcotest.(check int) "parses" 0 skipped;
+        Alcotest.(check int) "one history record for the group" 1
+          (List.length records));
   ]
 
 (* ------------------------------------------------------------------ *)

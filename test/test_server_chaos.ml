@@ -274,6 +274,77 @@ let protocol_suite =
         stop_server socket_path server);
   ]
 
+(* The [stats] armor list keeps the newest records: a server that has
+   absorbed more armor events than any fixed log could hold still shows
+   the latest one. *)
+let armor_suite =
+  let stats_line = "{\"op\":\"stats\"}" in
+  let shutdown_line = "{\"op\":\"shutdown\"}" in
+  let last_armor_session rc what =
+    Raw_conn.send rc (stats_line ^ "\n");
+    let j = expect_response rc what in
+    match Jsons.member "armor" j with
+    | Some (Jsons.List l) when l <> [] && List.length l <= 32 -> (
+      match Jsons.member "inputs" (List.nth l (List.length l - 1)) with
+      | Some inputs -> (
+        match Jsons.member "session" inputs with
+        | Some (Jsons.Str s) -> s
+        | _ -> Alcotest.failf "%s: armor record without a session" what)
+      | None -> Alcotest.failf "%s: armor record without inputs" what)
+    | _ -> Alcotest.failf "%s: no armor list of 1..32 records" what
+  in
+  (* read [n] response lines without parsing them *)
+  let skip_lines rc n =
+    let seen = ref 0 in
+    let b = Bytes.create 65536 in
+    while !seen < n do
+      let k = Unix.read rc.Raw_conn.fd b 0 65536 in
+      if k = 0 then Alcotest.fail "connection closed mid-batch";
+      for i = 0 to k - 1 do
+        if Bytes.get b i = '\n' then incr seen
+      done
+    done
+  in
+  [
+    Alcotest.test_case "stats.armor follows the newest event after 65536"
+      `Slow (fun () ->
+        let config =
+          {
+            Config.default with
+            (* the stats and shutdown requests must still fit *)
+            Config.max_request_bytes = String.length shutdown_line;
+            telemetry_tick = 0.;
+          }
+        in
+        let socket_path, _, server = start_server ~config ~rows:10 () in
+        let a = Raw_conn.connect socket_path in
+        let b = Raw_conn.connect socket_path in
+        Fun.protect
+          ~finally:(fun () ->
+            Raw_conn.close a;
+            Raw_conn.close b)
+          (fun () ->
+            let too_large = String.make 24 'x' ^ "\n" in
+            let batch = 512 in
+            let burst =
+              String.concat "" (List.init batch (fun _ -> too_large))
+            in
+            for _ = 1 to 65536 / batch do
+              Raw_conn.send a burst;
+              skip_lines a batch
+            done;
+            let sa = last_armor_session a "after the burst" in
+            Raw_conn.send b too_large;
+            check_code "second session" (expect_response b "second session") 2;
+            let sb = last_armor_session b "after the second session" in
+            Alcotest.(check bool) "newest record names the second session" true
+              (sa <> sb);
+            (* the regular stop_server rpc is longer than the limit *)
+            Raw_conn.send a (shutdown_line ^ "\n");
+            ignore (expect_response a "shutdown"));
+        Thread.join server);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Slow loris and idle reaping                                         *)
 (* ------------------------------------------------------------------ *)
@@ -698,6 +769,7 @@ let determinism_suite =
 let suites =
   [
     ("server.chaos.protocol", protocol_suite);
+    ("server.chaos.armor", armor_suite);
     ("server.chaos.loris", loris_suite);
     ("server.chaos.shed", shed_suite);
     ("server.chaos.fuzz", fuzz_suite);
